@@ -72,7 +72,10 @@ def multiplier():
     return get_circuit("multiplier", width=6)
 
 
-@pytest.mark.parametrize("operation", ["rewrite", "balance", "refactor", "fraig", "dsdb"])
+@pytest.mark.parametrize("operation", [
+    "rewrite", "rewrite -z", "refactor", "refactor -z", "resub", "resub -z",
+    "balance", "fraig", "sopb", "blut", "dsdb",
+])
 def test_single_operation_speed(benchmark, multiplier, operation):
     op = get_operation(operation)
     result = benchmark(op, multiplier)
@@ -222,8 +225,12 @@ class TestHotPathSpeedups:
             worker.run_campaign_cell(
                 payload, event_sink=lambda cid, event: events.append(event))
 
-        baseline_seconds = _best_seconds(cell_granular, repeats=repeats)
-        streaming_seconds = _best_seconds(streaming, repeats=repeats)
+        # Alternate the arms: when one arm runs wholly after the other,
+        # the later arm absorbs any drift in host or process speed.
+        baseline_seconds = streaming_seconds = float("inf")
+        for _ in range(repeats):
+            baseline_seconds = min(baseline_seconds, _best_seconds(cell_granular, repeats=1))
+            streaming_seconds = min(streaming_seconds, _best_seconds(streaming, repeats=1))
         overhead = streaming_seconds / baseline_seconds - 1.0
         record_bench_entry("round_streaming_checkpoint", {
             "cell_granular_seconds": baseline_seconds,

@@ -131,6 +131,9 @@ def enumerate_cuts(
     wide = num_vars > 512
 
     cuts: Dict[int, List[Cut]] = {0: [Cut((0,))]}
+    # One shared Cut per distinct leaf set: neighbouring nodes keep many
+    # of the same cuts, so most leaf tuples would otherwise be rebuilt.
+    cut_of: Dict[int, Cut] = {}
     for var in aig.pis:
         cuts[var] = [Cut((var,))]
 
@@ -163,9 +166,9 @@ def enumerate_cuts(
 
         # Pairwise merge with duplicate elimination; popcount (computed for
         # the feasibility check anyway) is carried along for the pruning
-        # and priority steps below.
+        # and priority steps below.  Without ``depths`` every depth is 0.
         seen = set()
-        merged: List[Tuple[int, int, int]] = []  # (popcount, mask, max leaf depth)
+        merged: List[Tuple[int, int, int]] = []  # (max leaf depth, popcount, mask)
         if depth_mode:
             d0 = base_depths[v0]
             d1 = base_depths[v1]
@@ -178,7 +181,7 @@ def enumerate_cuts(
                         continue
                     seen.add(union)
                     dj = d1[j]
-                    merged.append((count, union, di if di >= dj else dj))
+                    merged.append((di if di >= dj else dj, count, union))
         else:
             for m0 in masks0:
                 for m1 in masks1:
@@ -187,53 +190,54 @@ def enumerate_cuts(
                     if count > k or union in seen:
                         continue
                     seen.add(union)
-                    merged.append((count, union, 0))
+                    merged.append((0, count, union))
 
-        # Domination filter: scan in size order; only a strictly smaller
-        # cut can dominate (duplicates were removed above), and the set of
-        # survivors does not depend on tie order within a size class.  On
-        # wide graphs (past the signature threshold above) the OR-folded
+        # Domination filter, scanned in (depth, size) class order.  A cut
+        # dominated by another has a strictly larger size and no smaller
+        # depth, so its dominators are scanned before it, and within one
+        # class no cut dominates another (duplicates were removed above).
+        # The same order is the priority order up to the tie-break on
+        # leaves, so once the classes scanned hold ``max_cuts`` survivors
+        # no later cut can make the budget and the scan stops.  On wide
+        # graphs (past the signature threshold above) the OR-folded
         # signature rejects most non-subset pairs before the full
         # multi-word mask compare.
         merged.sort()
-        kept: List[Tuple[int, int, int]] = merged
-        if len(merged) > 1:
-            kept = []
-            kept_masks: List[int] = []
+        kept: List[Tuple[int, int, int]] = []
+        kept_masks: List[int] = []
+        kept_sigs: List[int] = []
+        scanned_class = None
+        for entry in merged:
+            if entry[:2] != scanned_class:
+                if 0 < max_cuts <= len(kept):
+                    break
+                scanned_class = entry[:2]
+            mask = entry[2]
             if wide:
-                kept_sigs: List[int] = []
-                for entry in merged:
-                    mask = entry[1]
-                    sig = mask_signature(mask)
-                    for km, ks in zip(kept_masks, kept_sigs):
-                        if ks & ~sig == 0 and km & mask == km:
-                            break
-                    else:
-                        kept.append(entry)
-                        kept_masks.append(mask)
-                        kept_sigs.append(sig)
+                sig = mask_signature(mask)
+                for km, ks in zip(kept_masks, kept_sigs):
+                    if ks & ~sig == 0 and km & mask == km:
+                        break
+                else:
+                    kept.append(entry)
+                    kept_masks.append(mask)
+                    kept_sigs.append(sig)
             else:
-                for entry in merged:
-                    mask = entry[1]
-                    for km in kept_masks:
-                        if km & mask == km:
-                            break
-                    else:
-                        kept.append(entry)
-                        kept_masks.append(mask)
+                for km in kept_masks:
+                    if km & mask == km:
+                        break
+                else:
+                    kept.append(entry)
+                    kept_masks.append(mask)
 
         # Materialise leaves for the survivors only, sort by priority and
         # truncate to the per-node budget.
-        if depth_mode:
-            entries = [
-                ((1 + depth, count, mask_to_leaves(mask)), mask, depth)
-                for count, mask, depth in kept
-            ]
-        else:
-            entries = [
-                ((count, mask_to_leaves(mask)), mask, 0)
-                for count, mask, _ in kept
-            ]
+        entries = []
+        for depth, count, mask in kept:
+            cut = cut_of.get(mask)
+            if cut is None:
+                cut = cut_of[mask] = Cut(mask_to_leaves(mask))
+            entries.append(((1 + depth, count, cut.leaves), mask, depth, cut))
         # Priority keys are unique (they embed the leaf tuple), so a plain
         # tuple sort never falls through to the trailing elements.
         entries.sort()
@@ -243,7 +247,7 @@ def enumerate_cuts(
         if depth_mode:
             base_depths[var] = [depths[var]] + [entry[2] for entry in entries]
         node_cuts = [Cut((var,))] if include_trivial else []
-        node_cuts.extend(Cut(entry[0][-1]) for entry in entries)
+        node_cuts.extend(entry[3] for entry in entries)
         cuts[var] = node_cuts
     return cuts
 
@@ -278,7 +282,9 @@ def cut_truth_table(aig: AIG, root: int, cut: Cut) -> int:
     """Truth table of ``root`` expressed over the cut leaves.
 
     Leaf ``i`` of the cut corresponds to truth-table variable ``i``.  The
-    result has ``2 ** cut.size`` bits.
+    result has ``2 ** cut.size`` bits.  The cone is evaluated in one
+    depth-first walk: a node's table is computed as soon as both fanin
+    tables are known.
     """
     is_and, fanin0, fanin1 = aig.node_arrays()
     n = cut.size
@@ -287,29 +293,28 @@ def cut_truth_table(aig: AIG, root: int, cut: Cut) -> int:
         tables[leaf] = truth.var_table(idx, n)
 
     full = truth.table_mask(n)
-    for var in cut_cone_vars(aig, root, cut):
+    stack = [root]
+    while stack:
+        var = stack[-1]
+        if var in tables:
+            stack.pop()
+            continue
         if not is_and[var]:
             # A PI inside the cone that is not a leaf cannot happen for a
             # valid cut; guard defensively.
-            if var not in tables:
-                raise ValueError(f"cut {cut.leaves} does not cover node {root}")
-            continue
+            raise ValueError(f"cut {cut.leaves} does not cover node {root}")
         f0 = fanin0[var]
         f1 = fanin1[var]
         t0 = tables.get(f0 >> 1)
         t1 = tables.get(f1 >> 1)
         if t0 is None or t1 is None:
-            raise ValueError(
-                f"fanin variable {(f0 if t0 is None else f1) >> 1} missing from cut cone"
-            )
-        if f0 & 1:
-            t0 ^= full
-        if f1 & 1:
-            t1 ^= full
-        tables[var] = t0 & t1
-
-    if root not in tables:
-        raise ValueError(f"cut {cut.leaves} does not cover node {root}")
+            if t1 is None:
+                stack.append(f1 >> 1)
+            if t0 is None:
+                stack.append(f0 >> 1)
+            continue
+        stack.pop()
+        tables[var] = (t0 ^ full if f0 & 1 else t0) & (t1 ^ full if f1 & 1 else t1)
     return tables[root]
 
 

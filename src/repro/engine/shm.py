@@ -18,9 +18,14 @@ Payload layout (little-endian)::
     ...     fanin1  — num_vars int64
 
 CPython < 3.13 registers *attached* segments with the attaching
-process's resource tracker (bpo-39959), which would unlink the parent's
-segment when a worker exits; :func:`attach_aig` therefore unregisters
-immediately after attaching.
+process's resource tracker (bpo-39959).  A process that starts its own
+tracker to attach would have that tracker unlink the parent's segment
+when it exits, so :func:`attach_aig` unregisters again in that case.  A
+process that already talks to a tracker — the publisher itself, or a
+pool worker that inherited the publisher's tracker — must not: the
+tracker keeps one entry per name, so unregistering there would drop the
+publisher's own registration and make its ``unlink()`` fail in the
+tracker with ``KeyError``.
 """
 
 from __future__ import annotations
@@ -121,6 +126,12 @@ def publish_aig(
     return segment, SharedAIGHandle(name=segment.name, size=len(payload))
 
 
+def _has_tracker() -> bool:
+    """Whether this process already holds a resource-tracker connection
+    (started here, or inherited from the parent that forked or spawned it)."""
+    return getattr(resource_tracker._resource_tracker, "_fd", None) is not None
+
+
 def _disown(segment: shared_memory.SharedMemory) -> None:
     """Drop the attach-side resource-tracker registration (bpo-39959)."""
     try:
@@ -140,13 +151,15 @@ def attach_aig(handle: SharedAIGHandle) -> Optional[AIG]:
     closed before returning — workers never hold segments open.
     """
     global _ATTACHES, _FALLBACKS
+    private_tracker = not _has_tracker()
     try:
         segment = shared_memory.SharedMemory(name=handle.name)
     except FileNotFoundError:
         _FALLBACKS += 1
         return None
     try:
-        _disown(segment)
+        if private_tracker:
+            _disown(segment)
         aig = decode_aig(bytes(segment.buf[: handle.size]))
     finally:
         segment.close()

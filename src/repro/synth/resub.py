@@ -16,7 +16,7 @@ and verified exactly on cut truth tables:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +75,8 @@ def resub(
         gain_bound = mffc_size(aig, node.var, cut, fanouts)
         if gain_bound <= 0:
             continue
-        cone = set(cut_cone_vars(aig, node.var, cut))
+        interior = cut_cone_vars(aig, node.var, cut)
+        cone = set(interior)
         leaves = set(cut.leaves)
         # Divisors: nodes outside this node's MFFC whose level is below the
         # node's and which are not the node itself.  We take leaves plus
@@ -90,15 +91,15 @@ def resub(
                 continue
             divisor_vars.append(candidate)
 
-        found = _find_resub(
+        match = _find_resub(
             aig, node.var, cut, divisor_vars, sig_int, sig_mask, gain_bound, zero_cost,
         )
-        if found is None:
+        if match is None:
             continue
-        replacement, interior_claim = found
-        replacements[node.var] = replacement
-        for interior in interior_claim:
-            claimed.add(interior)
+        replacements[node.var] = Replacement(
+            cut=cut, builder=_resub_builder(aig, match), gain=match.gain
+        )
+        claimed.update(interior)
 
     if not replacements:
         return aig.copy()
@@ -106,6 +107,20 @@ def resub(
     if result.num_ands > aig.num_ands and not zero_cost:
         return aig.copy()
     return result
+
+
+class ResubMatch(NamedTuple):
+    """A verified resubstitution of a root node.
+
+    The root equals ``divisors[0]`` (0-resub) or the AND of both
+    ``divisors`` (1-resub), each taken with its ``complements`` polarity,
+    complemented once more at the output when ``out_compl`` is set.
+    """
+
+    divisors: Tuple[int, ...]
+    complements: Tuple[bool, ...]
+    out_compl: bool
+    gain: int
 
 
 def _find_resub(
@@ -117,11 +132,16 @@ def _find_resub(
     sig_mask: int,
     gain_bound: int,
     zero_cost: bool,
-) -> Optional[Tuple[Replacement, List[int]]]:
-    """Search for a 0- or 1-resubstitution of ``root``."""
+) -> Optional[ResubMatch]:
+    """Search for a 0- or 1-resubstitution of ``root``.
+
+    Candidates are tried in a fixed order and the first one that passes
+    exact verification wins: 0-resub divisors in order, then 1-resub
+    pairs ``(d1, d2, c1, c2)`` lexicographically by divisor position and
+    polarity (``False`` before ``True``).
+    """
     target = sig_int[root]
     target_neg = target ^ sig_mask
-    interior = cut_cone_vars(aig, root, cut)
 
     # --- 0-resub: an existing node matches the target signature.
     for div in divisor_vars:
@@ -130,49 +150,52 @@ def _find_resub(
         if sig_int[div] == target and _verify_equal(aig, root, div, cut):
             gain = gain_bound  # the whole MFFC dies; no new nodes are added
             if gain > 0 or zero_cost:
-                return Replacement(cut=cut, builder=_copy_divisor_builder(aig, div, cut),
-                                   gain=gain), interior
+                return ResubMatch((div,), (False,), False, gain)
         if sig_int[div] == target_neg and _verify_equal(aig, root, div, cut, complemented=True):
             gain = gain_bound
             if gain > 0 or zero_cost:
-                return Replacement(
-                    cut=cut,
-                    builder=_copy_divisor_builder(aig, div, cut, complemented=True),
-                    gain=gain,
-                ), interior
+                return ResubMatch((div,), (False,), True, gain)
 
     # --- 1-resub: target = f(d1, d2) for a simple two-input gate.
-    if gain_bound < 2 and not zero_cost:
+    gain = gain_bound - 1  # one new gate replaces the MFFC
+    if gain < 0 or (gain == 0 and not zero_cost):
         return None
+    # ``a & b == t`` needs both ``a`` and ``b`` to cover ``t``.  Tag each
+    # divisor polarity with bit 1 if it covers the target and bit 2 if it
+    # covers the complemented target; a pair can only match on a shared
+    # bit, so polarities covering neither drop out before the pair loop.
+    options: List[List[Tuple[bool, int, int]]] = []
+    for div in divisor_vars:
+        sig = sig_int[div]
+        viable = []
+        for compl in (False, True):
+            value = sig ^ sig_mask if compl else sig
+            covers = ((value & target == target)
+                      | (value & target_neg == target_neg) << 1)
+            if covers:
+                viable.append((compl, value, covers))
+        options.append(viable)
     for i, d1 in enumerate(divisor_vars):
-        s1 = sig_int[d1]
-        for d2 in divisor_vars[i + 1:]:
-            s2 = sig_int[d2]
-            for c1 in (False, True):
-                a = s1 ^ sig_mask if c1 else s1
-                for c2 in (False, True):
-                    b = s2 ^ sig_mask if c2 else s2
+        options1 = options[i]
+        if not options1:
+            continue
+        for j in range(i + 1, len(divisor_vars)):
+            options2 = options[j]
+            if not options2:
+                continue
+            d2 = divisor_vars[j]
+            for c1, a, covers1 in options1:
+                for c2, b, covers2 in options2:
+                    shared = covers1 & covers2
+                    if not shared:
+                        continue
                     combined = a & b
-                    if combined == target:
+                    if shared & 1 and combined == target:
                         if _verify_and(aig, root, cut, d1, c1, d2, c2):
-                            gain = gain_bound - 1
-                            if gain > 0 or (zero_cost and gain == 0):
-                                return Replacement(
-                                    cut=cut,
-                                    builder=_and_divisor_builder(aig, cut, d1, c1, d2, c2),
-                                    gain=gain,
-                                ), interior
-                    elif combined == target_neg:
+                            return ResubMatch((d1, d2), (c1, c2), False, gain)
+                    elif shared & 2 and combined == target_neg:
                         if _verify_and(aig, root, cut, d1, c1, d2, c2, out_compl=True):
-                            gain = gain_bound - 1
-                            if gain > 0 or (zero_cost and gain == 0):
-                                return Replacement(
-                                    cut=cut,
-                                    builder=_and_divisor_builder(
-                                        aig, cut, d1, c1, d2, c2, out_compl=True
-                                    ),
-                                    gain=gain,
-                                ), interior
+                            return ResubMatch((d1, d2), (c1, c2), True, gain)
     return None
 
 
@@ -261,32 +284,19 @@ def _verify_and(
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
-def _copy_divisor_builder(aig: AIG, divisor: int, cut: Cut, complemented: bool = False):
-    """Builder that re-creates the divisor's cone (strash will share it)."""
-    support = _transitive_pis_or_bound(aig, divisor, bound=64) or set()
-    frontier = tuple(sorted(support))
+def _resub_builder(aig: AIG, match: ResubMatch):
+    """Builder that re-creates the divisors' cones and combines them.
+
+    The divisors already exist somewhere in the new graph in most cases;
+    rebuilding them from PIs and letting structural hashing find the
+    existing copies keeps the builder self-contained.
+    """
 
     def builder(new: AIG, leaf_literals: Sequence[Literal], arrival) -> Literal:
-        # The divisor already exists somewhere in the new graph in most
-        # cases; rebuilding it from PIs and letting structural hashing find
-        # the existing copy keeps the builder self-contained.
-        lit_result = _rebuild_cone_from_pis(aig, divisor, new)
-        return lit_not(lit_result) if complemented else lit_result
-
-    return builder
-
-
-def _and_divisor_builder(aig: AIG, cut: Cut, d1: int, c1: bool, d2: int, c2: bool,
-                         out_compl: bool = False):
-    def builder(new: AIG, leaf_literals: Sequence[Literal], arrival) -> Literal:
-        l1 = _rebuild_cone_from_pis(aig, d1, new)
-        l2 = _rebuild_cone_from_pis(aig, d2, new)
-        if c1:
-            l1 = lit_not(l1)
-        if c2:
-            l2 = lit_not(l2)
-        result = new.add_and(l1, l2)
-        return lit_not(result) if out_compl else result
+        lits = [_rebuild_cone_from_pis(aig, div, new) ^ compl
+                for div, compl in zip(match.divisors, match.complements)]
+        result = lits[0] if len(lits) == 1 else new.add_and(lits[0], lits[1])
+        return lit_not(result) if match.out_compl else result
 
     return builder
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig import truth
-from repro.aig.cuts import Cut, cut_truth_table, enumerate_cuts
+from repro.aig.cuts import Cut, cut_cone_vars, cut_truth_table, enumerate_cuts
 from repro.aig.graph import AIG, Literal, lit_not
 from repro.synth import sop
 from repro.synth.rewrite_framework import Replacement, mffc_size, rebuild_with_replacements
@@ -122,8 +122,6 @@ def rewrite(aig: AIG, zero_cost: bool = False, cut_size: int = 4, max_cuts: int 
                 replacements[node.var] = Replacement(
                     cut=cut, builder=_make_builder(table, cut.size), gain=gain
                 )
-            from repro.aig.cuts import cut_cone_vars
-
             for interior in cut_cone_vars(aig, node.var, cut):
                 claimed.add(interior)
 

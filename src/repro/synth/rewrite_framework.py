@@ -51,29 +51,28 @@ def mffc_size(aig: AIG, root: int, cut: Cut, fanout_counts: Sequence[int]) -> in
     re-expressed over the cut leaves.
 
     A node joins the MFFC when every one of its fanout references comes
-    from a node already in the MFFC.  Processing the cone in reverse
-    topological order and bumping per-fanin counters as members join makes
-    this a single O(cone) sweep.
+    from a node already in the MFFC.  The walk dereferences from the root
+    down: each member releases one reference on each fanin, and a fanin
+    whose references are all released joins.  It stops at cut leaves and
+    non-AND nodes, so it visits only the MFFC and its fanins.
     """
     is_and, fanin0, fanin1 = aig.node_arrays()
-    cone = [v for v in cut_cone_vars(aig, root, cut) if is_and[v]]
-    if not cone or cone[-1] != root:
+    leaves = cut.leaves
+    if not is_and[root] or root in leaves:
         return 0
-    mffc_refs: Dict[int, int] = {}
-
-    def join(var: int) -> None:
+    remaining: Dict[int, int] = {}
+    count = 0
+    stack = [root]
+    while stack:
+        var = stack.pop()
+        count += 1
         for fv in (fanin0[var] >> 1, fanin1[var] >> 1):
-            mffc_refs[fv] = mffc_refs.get(fv, 0) + 1
-
-    count = 1
-    join(root)
-    for var in reversed(cone):
-        if var == root:
-            continue
-        total_refs = fanout_counts[var]
-        if total_refs > 0 and mffc_refs.get(var, 0) == total_refs:
-            count += 1
-            join(var)
+            if not is_and[fv] or fv in leaves:
+                continue
+            refs = remaining.get(fv, fanout_counts[fv]) - 1
+            remaining[fv] = refs
+            if refs == 0:
+                stack.append(fv)
     return count
 
 

@@ -9,6 +9,7 @@ that can be costed (literal count) and instantiated into an AIG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aig import truth
@@ -191,11 +192,14 @@ def quick_factor(cover: Sequence[Cube]) -> FactoredNode:
     return or_node([product, factored_remainder])
 
 
+@lru_cache(maxsize=4096)
 def factor_truth_table(table: int, num_vars: int) -> FactoredNode:
     """Factored form of a completely specified function.
 
     Chooses the cheaper of factoring the on-set or the complemented
     function (off-set), matching how refactoring decides output phase.
+    Memoised: the passes factor the same few cone functions over and
+    over, and the frozen result is safe to share.
     """
     mask = truth.table_mask(num_vars)
     table &= mask

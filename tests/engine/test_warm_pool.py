@@ -18,11 +18,16 @@ eviction can never change results.
 
 import dataclasses
 import json
+import subprocess
+import sys
+import textwrap
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.bo.space import SequenceSpace
 from repro.engine import EvaluationEngine, EvaluatorSpec
 from repro.engine import shm, worker
@@ -125,6 +130,25 @@ class TestSharedAIG:
         with pytest.raises(FileNotFoundError):
             other = shared_memory.SharedMemory(name=handle.name)
         assert other is None
+
+    def test_pool_exit_leaves_resource_tracker_clean(self):
+        """Workers share the parent's resource tracker; attaching must not
+        drop the parent's registration, or the parent's ``unlink()`` makes
+        the tracker print a ``KeyError`` traceback at exit."""
+        script = textwrap.dedent("""
+            from repro.engine import EvaluationEngine, EvaluatorSpec
+            spec = EvaluatorSpec.for_circuit("adder", width=4)
+            batch = [["rewrite", "balance"], ["refactor"], ["resub", "fraig"]]
+            with EvaluationEngine(spec, jobs=2, adaptive=False) as engine:
+                engine.compute_batch(batch)
+                assert engine.metadata()["pool"]["builds"] == 1
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=300, env={"PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert "KeyError" not in result.stderr, result.stderr
+        assert "leaked shared_memory" not in result.stderr, result.stderr
 
 
 class TestWarmSpecHandoff:

@@ -6,7 +6,9 @@ Run from the repo root::
 
 The golden file pins the *observable* outputs of the synthesis substrate
 (cut enumeration, LUT mapping, QoR evaluation) on seeded circuits and
-sequences.  It was first generated from the pre-optimisation (PR 1) code
+sequences, plus a structural digest of every synthesis operation's
+output AIG and the cut sets at the ``(k, max_cuts)`` settings the passes
+enumerate.  It was first generated from the pre-optimisation code
 and must remain stable under performance reworks: the hot-path overhaul
 keeps all of these values bit-identical.  Only integer outputs and
 pure-Python float arithmetic land here, so the file is portable across
@@ -33,8 +35,22 @@ SEQUENCES = [
     ["fraig", "refactor -z", "dsdb", "resub"],
 ]
 
+#: Circuits whose per-operation outputs and pass-setting cuts are pinned:
+#: the golden circuits, the benchmark's ``multiplier``-6 and one seeded
+#: random AIG per fuzz kind.
+PASS_CIRCUITS = CIRCUITS + [("multiplier", 6)]
+PASS_FUZZ_SPECS = [
+    dict(kind="layered", seed=11, num_inputs=8, num_gates=64, num_outputs=4),
+    dict(kind="windowed", seed=12, num_inputs=8, num_gates=64, num_outputs=3),
+    dict(kind="arith", seed=14, num_inputs=10, num_gates=64, num_outputs=4),
+]
 
-def _cuts_digest(aig, k: int, max_cuts: int, include_trivial: bool) -> str:
+#: ``(k, max_cuts)`` of the passes' cut enumerations (trivial cuts off):
+#: resub, refactor, blut, sopb/dsdb.
+PASS_CUT_SETTINGS = [(8, 4), (10, 4), (6, 6), (8, 6)]
+
+
+def cuts_digest(aig, k: int, max_cuts: int, include_trivial: bool) -> str:
     from repro.aig.cuts import enumerate_cuts
 
     cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts, include_trivial=include_trivial)
@@ -57,6 +73,39 @@ def _depth_cuts_digest(aig, k: int, max_cuts: int) -> str:
         for cut in cuts[var]:
             digest.update(repr(tuple(cut.leaves)).encode())
     return digest.hexdigest()
+
+
+def aig_digest(aig) -> str:
+    """SHA-256 of the flat ``is_and``/fanin arrays and the PO literals."""
+    is_and, fanin0, fanin1 = aig.node_arrays()
+    digest = hashlib.sha256()
+    digest.update(repr((bytes(is_and), list(fanin0), list(fanin1),
+                        list(aig.pos))).encode())
+    return digest.hexdigest()
+
+
+def pass_circuits():
+    """``(key, aig)`` for every circuit in the per-operation goldens."""
+    from repro.circuits import get_circuit
+    from repro.circuits.fuzz import FuzzSpec
+
+    for name, width in PASS_CIRCUITS:
+        yield f"{name}-{width}", get_circuit(name, width=width)
+    for params in PASS_FUZZ_SPECS:
+        spec = FuzzSpec(**params)
+        yield spec.name(), spec.build()
+
+
+def pass_entry(aig):
+    """Per-operation output digests and pass-setting cut digests."""
+    from repro.synth.operations import list_operations
+
+    return {
+        "operations": {op.name: aig_digest(op(aig)) for op in list_operations()},
+        "cuts": {f"k{k}_m{max_cuts}": cuts_digest(aig, k=k, max_cuts=max_cuts,
+                                                  include_trivial=False)
+                 for k, max_cuts in PASS_CUT_SETTINGS},
+    }
 
 
 def _mapping_entry(aig):
@@ -92,14 +141,16 @@ def main() -> None:
             )
         golden["circuits"][key] = {
             "stats": aig.stats(),
-            "cuts_k4": _cuts_digest(aig, k=4, max_cuts=8, include_trivial=False),
-            "cuts_k6_trivial": _cuts_digest(aig, k=6, max_cuts=8, include_trivial=True),
+            "cuts_k4": cuts_digest(aig, k=4, max_cuts=8, include_trivial=False),
+            "cuts_k6_trivial": cuts_digest(aig, k=6, max_cuts=8, include_trivial=True),
             "cuts_k6_depth": _depth_cuts_digest(aig, k=6, max_cuts=8),
             "mapping": _mapping_entry(aig),
             "reference_area": evaluator.reference_area,
             "reference_delay": evaluator.reference_delay,
             "evaluations": evaluations,
         }
+
+    golden["passes"] = {key: pass_entry(aig) for key, aig in pass_circuits()}
 
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

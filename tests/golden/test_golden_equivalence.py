@@ -4,9 +4,10 @@ Two layers of protection:
 
 * **Stored goldens** (``substrate_golden.json``, generated from the
   pre-optimisation code by ``generate_golden.py``): cut-enumeration
-  digests, LUT mappings and QoR evaluations on seeded circuits must stay
-  bit-identical across performance reworks.  Only integer outputs and
-  pure-Python float arithmetic are pinned, so the file is portable.
+  digests, LUT mappings, QoR evaluations and every synthesis operation's
+  output AIG on seeded circuits must stay bit-identical across
+  performance reworks.  Only integer outputs and pure-Python float
+  arithmetic are pinned, so the file is portable.
 * **Runtime reference comparisons**: the optimised implementations are
   run side by side with the frozen reference copies
   (:mod:`repro.aig._reference`, :mod:`repro.mapping._reference`,
@@ -41,7 +42,9 @@ from repro.gp.kernels.ssk import SubsequenceStringKernel, ssk_diag, ssk_gram
 from repro.mapping._reference import ReferenceLutMapper
 from repro.mapping.lut_mapper import LutMapper
 from repro.qor import QoREvaluator
-from repro.synth.operations import apply_sequence
+from repro.synth.operations import apply_sequence, list_operations
+
+from generate_golden import aig_digest, cuts_digest, pass_circuits
 
 GOLDEN_PATH = Path(__file__).parent / "substrate_golden.json"
 
@@ -98,6 +101,16 @@ class TestStoredGoldens:
                 assert record.delay == expected["delay"], (key, expected["sequence"])
                 assert record.qor == expected["qor"], (key, expected["sequence"])
                 assert record.qor_improvement == expected["qor_improvement"]
+
+    @pytest.mark.parametrize("key,aig", list(pass_circuits()),
+                             ids=lambda value: value if isinstance(value, str) else "")
+    def test_operation_outputs_and_pass_cuts(self, golden, key, aig):
+        entry = golden["passes"][key]
+        for op in list_operations():
+            assert aig_digest(op(aig)) == entry["operations"][op.name], (key, op.name)
+        for setting, expected in entry["cuts"].items():
+            k, max_cuts = (int(part[1:]) for part in setting.split("_"))
+            assert cuts_digest(aig, k, max_cuts, False) == expected, (key, setting)
 
 
 # ----------------------------------------------------------------------
