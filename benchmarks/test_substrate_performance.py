@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -207,7 +208,10 @@ class TestHotPathSpeedups:
         # the per-round streaming machinery only, and a fresh store per
         # repetition is still required because a leftover checkpoint
         # would turn the next repetition into an (instant) resume.
-        repeats = 4
+        # The streaming machinery costs a few ms on a cell of about
+        # 0.3 s, while single runs on a shared host swing by tens of
+        # ms: sixteen pairs are needed to resolve the 5 % bar.
+        repeats = 16
         prepared = []
         for attempt in range(repeats):
             root = tmp_path_factory.mktemp(f"ckpt-bench-{attempt}")
@@ -225,18 +229,27 @@ class TestHotPathSpeedups:
             worker.run_campaign_cell(
                 payload, event_sink=lambda cid, event: events.append(event))
 
-        # Alternate the arms: when one arm runs wholly after the other,
-        # the later arm absorbs any drift in host or process speed.
-        baseline_seconds = streaming_seconds = float("inf")
-        for _ in range(repeats):
-            baseline_seconds = min(baseline_seconds, _best_seconds(cell_granular, repeats=1))
-            streaming_seconds = min(streaming_seconds, _best_seconds(streaming, repeats=1))
-        overhead = streaming_seconds / baseline_seconds - 1.0
+        # Run the arms in adjacent pairs, swapping their order every
+        # pair, and take the median of the per-pair ratios: both runs of
+        # a pair see the host at the same speed, and the median ignores
+        # the few pairs a burst of host load lands inside.
+        baseline_runs, streaming_runs, ratios = [], [], []
+        for pair in range(repeats):
+            if pair % 2:
+                streamed = _best_seconds(streaming, repeats=1)
+                baseline = _best_seconds(cell_granular, repeats=1)
+            else:
+                baseline = _best_seconds(cell_granular, repeats=1)
+                streamed = _best_seconds(streaming, repeats=1)
+            baseline_runs.append(baseline)
+            streaming_runs.append(streamed)
+            ratios.append(streamed / baseline)
+        overhead = statistics.median(ratios) - 1.0
         record_bench_entry("round_streaming_checkpoint", {
-            "cell_granular_seconds": baseline_seconds,
-            "streaming_seconds": streaming_seconds,
+            "cell_granular_seconds": statistics.median(baseline_runs),
+            "streaming_seconds": statistics.median(streaming_runs),
             "overhead_fraction": overhead,
-            "speedup": baseline_seconds / streaming_seconds,
+            "speedup": 1.0 / (1.0 + overhead),
         })
         # The acceptance bar: full round-granular persistence costs
         # less than 5 % wall-clock on a representative BOiLS cell.

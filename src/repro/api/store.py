@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -89,6 +89,22 @@ def _jsonify(value: object) -> object:
     if isinstance(value, (list, tuple, set)):
         return [_jsonify(item) for item in value]
     return repr(value)
+
+
+def _open_creating_parent(path: Path, flags: int, mode: int) -> int:
+    """``os.open`` that creates a missing parent directory on first use."""
+    try:
+        return os.open(path, flags, mode)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags, mode)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """``os.write`` until all of ``data`` is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 @dataclass
@@ -438,7 +454,6 @@ class CampaignStore:
 
     def write_record(self, record: RunRecord) -> Path:
         """Atomically persist one cell's record (complete-or-absent)."""
-        self.cells_dir.mkdir(parents=True, exist_ok=True)
         path = self.cell_path(record.cell_id)
         self._atomic_write(path, json.dumps(record.to_dict(), allow_nan=False) + "\n")
         return path
@@ -477,11 +492,13 @@ class CampaignStore:
         produce byte-identical trajectory files — the property the
         resume suite compares directly.
         """
-        self.trajectories_dir.mkdir(parents=True, exist_ok=True)
         line = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
-        with open(self.trajectory_path(cell_id), "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
+        fd = _open_creating_parent(self.trajectory_path(cell_id),
+                                   os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+        try:
+            _write_all(fd, line.encode("utf-8"))
+        finally:
+            os.close(fd)
 
     def _complete_trajectory_lines(self, cell_id: str) -> List[str]:
         """Raw complete lines of the trajectory file, torn tail dropped.
@@ -534,7 +551,6 @@ class CampaignStore:
         """
         lines = self._complete_trajectory_lines(cell_id)[:max(0, rounds)]
         text = "".join(line + "\n" for line in lines)
-        self.trajectories_dir.mkdir(parents=True, exist_ok=True)
         self._atomic_write(self.trajectory_path(cell_id), text)
 
     def reset_trajectory(self, cell_id: str) -> None:
@@ -550,22 +566,31 @@ class CampaignStore:
     def checkpoint_path(self, cell_id: str) -> Path:
         return self.checkpoints_dir / f"{cell_id}.json"
 
+    def _checkpoint_aside_path(self, cell_id: str) -> Path:
+        """Where the previous checkpoint sits while the next one lands."""
+        return self.checkpoints_dir / f".{cell_id}.json.prev"
+
     def write_checkpoint(self, cell_id: str, payload: Dict[str, object]) -> Path:
         """Atomically persist the cell's latest checkpoint (replaces prior)."""
-        self.checkpoints_dir.mkdir(parents=True, exist_ok=True)
         path = self.checkpoint_path(cell_id)
         body = dict(payload)
         body.setdefault("format_version", CHECKPOINT_FORMAT_VERSION)
         body.setdefault("cell_id", cell_id)
         self._atomic_write(path, json.dumps(body, sort_keys=True, allow_nan=False) + "\n",
-                           durable=False)
+                           durable=False, aside=self._checkpoint_aside_path(cell_id))
         return path
 
     def read_checkpoint(self, cell_id: str) -> Optional[Dict[str, object]]:
-        """The cell's latest checkpoint, or ``None`` when absent/unusable."""
+        """The cell's latest checkpoint, or ``None`` when absent/unusable.
+
+        A kill between the two renames of :meth:`write_checkpoint` leaves
+        only the set-aside previous checkpoint; it is read instead.
+        """
         path = self.checkpoint_path(cell_id)
         if not path.is_file():
-            return None
+            path = self._checkpoint_aside_path(cell_id)
+            if not path.is_file():
+                return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
@@ -579,14 +604,16 @@ class CampaignStore:
 
     def clear_checkpoint(self, cell_id: str) -> None:
         """Remove the checkpoint once the cell's final record is written."""
-        try:
-            os.unlink(self.checkpoint_path(cell_id))
-        except OSError:
-            pass
+        for path in (self.checkpoint_path(cell_id), self._checkpoint_aside_path(cell_id)):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _atomic_write(path: Path, text: str, durable: bool = True) -> None:
+    def _atomic_write(path: Path, text: str, durable: bool = True,
+                      aside: Optional[Path] = None) -> None:
         """Complete-or-absent file replacement.
 
         ``durable=True`` additionally fsyncs before the rename —
@@ -597,21 +624,44 @@ class CampaignStore:
         resilience needs, and skipping the per-round fsync keeps the
         round-granular machinery's overhead negligible (a stale-by-one
         checkpoint after a power loss merely replays one extra round).
+
+        With ``aside``, the current file is first renamed to ``aside``
+        and removed once the new one is in place, so no rename lands on
+        an existing file: ext4 (``auto_da_alloc``) answers a rename over
+        an existing file by writing the new file's data out inside the
+        rename, which made that call the dearest part of a per-round
+        checkpoint.  Readers fall back to ``aside`` while ``path`` is
+        missing.
+
+        The temp file is named after the writing process and thread, so
+        concurrent writers never share one; a leftover from a killed
+        writer is truncated if its name comes round again.  The parent
+        directory is created on first use.
         """
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=str(path.parent),
-            prefix=f".{path.name}.", suffix=".tmp", delete=False,
-        )
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        fd = _open_creating_parent(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
         try:
-            with handle:
-                handle.write(text)
-                handle.flush()
+            try:
+                _write_all(fd, text.encode("utf-8"))
                 if durable:
-                    os.fsync(handle.fileno())
-            os.replace(handle.name, path)
+                    os.fsync(fd)
+            finally:
+                os.close(fd)
+            if aside is not None:
+                try:
+                    os.replace(path, aside)
+                except FileNotFoundError:
+                    pass
+            os.replace(tmp, path)
         except BaseException:
             try:
-                os.unlink(handle.name)
+                os.unlink(tmp)
             except OSError:
                 pass
             raise
+        if aside is not None:
+            try:
+                os.unlink(aside)
+            except FileNotFoundError:
+                pass

@@ -75,6 +75,29 @@ class TestCampaignStore:
         with pytest.raises(StoreError, match="cannot read cell record"):
             store.read_record(cell_id)
 
+    def test_checkpoint_replacement_survives_kill_between_renames(self, tmp_path):
+        store = CampaignStore(tmp_path / "run")
+        store.write_checkpoint("cell", {"round": 1})
+        store.write_checkpoint("cell", {"round": 2})
+        # Each write replaces the last and leaves no temp or set-aside file.
+        assert os.listdir(store.checkpoints_dir) == ["cell.json"]
+        assert store.read_checkpoint("cell")["round"] == 2
+
+        # A kill after the old checkpoint is set aside but before the new
+        # one lands leaves only the set-aside copy: it is still read.
+        os.replace(store.checkpoint_path("cell"),
+                   store.checkpoints_dir / ".cell.json.prev")
+        assert store.read_checkpoint("cell")["round"] == 2
+        store.write_checkpoint("cell", {"round": 3})
+        assert os.listdir(store.checkpoints_dir) == ["cell.json"]
+        assert store.read_checkpoint("cell")["round"] == 3
+
+        os.replace(store.checkpoint_path("cell"),
+                   store.checkpoints_dir / ".cell.json.prev")
+        store.clear_checkpoint("cell")
+        assert store.read_checkpoint("cell") is None
+        assert os.listdir(store.checkpoints_dir) == []
+
 
 class TestRunAndResume:
     def test_store_records_all_cells(self, campaign, tmp_path):
