@@ -41,6 +41,7 @@ from benchmarks.test_substrate_performance import record_bench_entry
 from repro.bo.space import SequenceSpace
 from repro.engine import EvaluationEngine, EvaluatorSpec
 from repro.engine.planner import effective_parallelism
+from repro.qor.backends.native import clear_synth_memo
 
 import numpy as np
 
@@ -56,7 +57,13 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _measure(engine, warmups, timed):
-    """Warm the engine on untimed batches, then time the real rounds."""
+    """Warm the engine on untimed batches, then time the real rounds.
+
+    Starts from a cold synthesis memo, so no path replays states an
+    earlier path of the sweep computed (pool workers fork from this
+    process on their first batch).
+    """
+    clear_synth_memo()
     for batch in warmups:
         engine.compute_batch(batch)
     start = time.perf_counter()

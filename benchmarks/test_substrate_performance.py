@@ -35,6 +35,7 @@ from repro.gp.kernels.ssk import SubsequenceStringKernel
 from repro.mapping import LutMapper
 from repro.mapping._reference import ReferenceLutMapper
 from repro.qor import QoREvaluator
+from repro.qor.backends.native import clear_synth_memo
 from repro.synth.flows import resyn2
 from repro.synth.operations import apply_sequence, get_operation
 
@@ -97,7 +98,10 @@ def test_lut_mapping_speed(benchmark, multiplier):
 def test_full_sequence_evaluation_speed(benchmark, adder):
     evaluator = QoREvaluator(adder, cache=False)
     sequence = ["balance", "rewrite", "refactor", "resub", "fraig", "dsdb"]
-    record = benchmark(evaluator.evaluate, sequence)
+    # A cold synthesis memo per round: time the passes and the mapping,
+    # not a replay of the previous round's states.
+    record = benchmark.pedantic(evaluator.evaluate, args=(sequence,),
+                                setup=clear_synth_memo, rounds=5)
     assert record.area > 0
 
 
@@ -229,6 +233,14 @@ class TestHotPathSpeedups:
             worker.run_campaign_cell(
                 payload, event_sink=lambda cid, event: events.append(event))
 
+        def timed(arm):
+            # Each run repeats the same seeded cell, so without this every
+            # run after the first would replay its synthesis from the
+            # process-wide memo of the native backend.  Clearing it first
+            # keeps each run the cell a fresh worker runs.
+            clear_synth_memo()
+            return _best_seconds(arm, repeats=1)
+
         # Run the arms in adjacent pairs, swapping their order every
         # pair, and take the median of the per-pair ratios: both runs of
         # a pair see the host at the same speed, and the median ignores
@@ -236,11 +248,11 @@ class TestHotPathSpeedups:
         baseline_runs, streaming_runs, ratios = [], [], []
         for pair in range(repeats):
             if pair % 2:
-                streamed = _best_seconds(streaming, repeats=1)
-                baseline = _best_seconds(cell_granular, repeats=1)
+                streamed = timed(streaming)
+                baseline = timed(cell_granular)
             else:
-                baseline = _best_seconds(cell_granular, repeats=1)
-                streamed = _best_seconds(streaming, repeats=1)
+                baseline = timed(cell_granular)
+                streamed = timed(streaming)
             baseline_runs.append(baseline)
             streaming_runs.append(streamed)
             ratios.append(streamed / baseline)

@@ -449,10 +449,9 @@ class AIG:
 
         The inverse of :meth:`node_arrays` (plus the PI/PO metadata): a
         graph serialised as ``(is_and, fanin0, fanin1)`` arrays — e.g.
-        published through shared memory by
-        :mod:`repro.engine.shm` — reconstructs bit-identically, including
-        node order, structural-hashing table contents and
-        :func:`repro.qor.evaluator.aig_fingerprint`.  The arrays must
+        encoded by :mod:`repro.aig.flat` — reconstructs bit-identically,
+        including node order, structural-hashing table contents and
+        :func:`repro.qor.backends.aig_fingerprint`.  The arrays must
         come from a well-formed AIG (``add_and``-normalised fanins);
         no re-hashing or constant propagation is performed, which is
         what makes this an O(num_vars) copy instead of a rebuild.

@@ -8,14 +8,8 @@ replay.  The parent owns the segment lifecycle (create + unlink);
 workers never unlink, and a vanished segment degrades to the cold spec
 path instead of failing the batch.
 
-Payload layout (little-endian)::
-
-    [0:4]   magic b"RAIG"
-    [4:8]   uint32 header length H
-    [8:8+H] JSON header {name, num_vars, pi_names, pos, po_names}
-    ...     is_and  — num_vars bytes
-    ...     fanin0  — num_vars int64
-    ...     fanin1  — num_vars int64
+The payload is the package's one AIG byte format, written by
+:func:`repro.aig.flat.encode_aig`.
 
 CPython < 3.13 registers *attached* segments with the attaching
 process's resource tracker (bpo-39959).  A process that starts its own
@@ -30,17 +24,12 @@ tracker with ``KeyError``.
 
 from __future__ import annotations
 
-import json
-import struct
-from array import array
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Optional, Tuple, cast
 
+from repro.aig.flat import decode_aig, encode_aig
 from repro.aig.graph import AIG
-
-_MAGIC = b"RAIG"
-_HEADER_STRUCT = struct.Struct("<4sI")
 
 # Worker-side counters surfaced by ``worker_diagnostics`` and the shm tests.
 _ATTACHES = 0
@@ -60,60 +49,6 @@ class SharedAIGHandle:
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "SharedAIGHandle":
         return cls(name=str(payload["name"]), size=int(cast(int, payload["size"])))
-
-
-def encode_aig(aig: AIG) -> bytes:
-    """Serialise ``aig`` to the flat shared-memory payload."""
-    is_and, fanin0, fanin1 = aig.node_arrays()
-    pi_names = [aig.node(var).name for var in aig.pis]
-    header = {
-        "name": aig.name,
-        "num_vars": len(is_and),
-        "pi_names": pi_names,
-        "pos": aig.pos,
-        "po_names": aig.po_names,
-    }
-    header_bytes = json.dumps(
-        header, sort_keys=True, allow_nan=False, separators=(",", ":")
-    ).encode("utf-8")
-    parts = [
-        _HEADER_STRUCT.pack(_MAGIC, len(header_bytes)),
-        header_bytes,
-        bytes(is_and),
-        array("q", fanin0).tobytes(),
-        array("q", fanin1).tobytes(),
-    ]
-    return b"".join(parts)
-
-
-def decode_aig(payload: bytes) -> AIG:
-    """Rebuild an AIG from :func:`encode_aig` output (bit-identical)."""
-    magic, header_len = _HEADER_STRUCT.unpack_from(payload, 0)
-    if magic != _MAGIC:
-        raise ValueError("shared AIG payload has bad magic")
-    offset = _HEADER_STRUCT.size
-    header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
-    offset += header_len
-    num_vars = int(header["num_vars"])
-    is_and = payload[offset:offset + num_vars]
-    offset += num_vars
-    fanin0 = array("q")
-    fanin0.frombytes(payload[offset:offset + 8 * num_vars])
-    offset += 8 * num_vars
-    fanin1 = array("q")
-    fanin1.frombytes(payload[offset:offset + 8 * num_vars])
-    offset += 8 * num_vars
-    if offset != len(payload):
-        raise ValueError("shared AIG payload has trailing bytes")
-    return AIG.from_flat_arrays(
-        name=str(header["name"]),
-        is_and=is_and,
-        fanin0=list(fanin0),
-        fanin1=list(fanin1),
-        pi_names=[None if n is None else str(n) for n in header["pi_names"]],
-        pos=[int(p) for p in header["pos"]],
-        po_names=[None if n is None else str(n) for n in header["po_names"]],
-    )
 
 
 def publish_aig(
@@ -193,8 +128,6 @@ def reset_counters() -> None:
 
 __all__ = [
     "SharedAIGHandle",
-    "encode_aig",
-    "decode_aig",
     "publish_aig",
     "attach_aig",
     "unlink_segment",

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.engine import faults, shm
 from repro.engine.cache import PersistentQoRCache
 from repro.engine.spec import EvaluatorSpec
+from repro.qor.backends.native import synth_memo_stats
 from repro.qor.evaluator import QoREvaluator, SequenceEvaluation
 
 if TYPE_CHECKING:  # import cycles: bo/api import this package
@@ -92,6 +93,7 @@ def worker_diagnostics() -> Dict[str, object]:
         "grid_evictions": _GRID_EVALUATORS.evictions,
         "shm_attaches": shm.attach_count(),
         "shm_fallbacks": shm.fallback_count(),
+        **synth_memo_stats(),
     }
 
 

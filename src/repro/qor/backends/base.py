@@ -75,12 +75,17 @@ class BackendUnavailable(BackendError):
 
 
 def aig_fingerprint(aig: AIG) -> str:
-    """Stable structural hash of an AIG (used as a persistent-cache key).
+    """Stable structural hash of an AIG.
 
-    Two structurally identical AIGs — e.g. the same generated benchmark
-    circuit built in two different processes — hash to the same value.
-    (Canonical home of the helper historically exported as
-    :func:`repro.qor.evaluator.aig_fingerprint`, which re-exports it.)
+    It keys the persistent QoR cache, replay tapes and the native
+    backend's synthesis memo.  It covers ``aig.name``, every node's
+    variable, kind and fanin literals (so node order, PIs and dangling
+    nodes count), and the PO literals in order.  It leaves out PI and PO
+    *names*: two graphs that differ only in names share a fingerprint.
+    No synthesis pass or mapping reads those names, so they cannot
+    change a measurement.  Two structurally identical AIGs — e.g. the
+    same generated circuit built in two different processes — hash to
+    the same value.
     """
     digest = hashlib.sha256()
     digest.update(aig.name.encode("utf-8"))

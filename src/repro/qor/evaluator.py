@@ -58,10 +58,6 @@ from repro.qor.objectives import Objective, canonical_spec_string, resolve_objec
 from repro.synth.flows import RESYN2_SEQUENCE
 from repro.synth.operations import sequence_to_names
 
-# aig_fingerprint's canonical home moved to repro.qor.backends.base (the
-# replay backend needs it without importing this module); the name stays
-# re-exported here for existing callers.
-
 
 def _validated_stats(
     pair: Sequence[object], label: str, floor: int

@@ -2,8 +2,9 @@
 
 Covers the three tentpole layers end to end:
 
-* :mod:`repro.engine.shm` — flat-array encode/decode, publish/attach
-  round-trips, vanished-segment fallback, and parent-owned unlink;
+* :mod:`repro.engine.shm` — publish/attach round-trips,
+  vanished-segment fallback, and parent-owned unlink (the flat codec
+  itself is tested in ``tests/aig/test_flat.py``);
 * :mod:`repro.engine.pool` — lazy build, reuse across batches, epoch
   bumping recycle, idempotent close;
 * :mod:`repro.engine.planner` — serial bootstrap, single-core and
@@ -28,13 +29,14 @@ import numpy as np
 import pytest
 
 import repro
+from repro.aig.flat import encode_aig
 from repro.bo.space import SequenceSpace
 from repro.engine import EvaluationEngine, EvaluatorSpec
 from repro.engine import shm, worker
 from repro.engine.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.engine.planner import ExecutionPlanner, effective_parallelism
 from repro.engine.pool import WarmPool
-from repro.qor.evaluator import aig_fingerprint
+from repro.qor.backends import NativeBackend, aig_fingerprint, native
 
 
 def _no_sleep(_seconds: float) -> None:
@@ -68,38 +70,6 @@ def batches(space):
 # Shared-memory AIG hand-off
 # ---------------------------------------------------------------------------
 class TestSharedAIG:
-    def test_encode_decode_is_bit_identical(self, spec):
-        aig = spec.build_evaluator(cache=False).aig
-        clone = shm.decode_aig(shm.encode_aig(aig))
-        assert aig_fingerprint(clone) == aig_fingerprint(aig)
-        assert clone.node_arrays() == aig.node_arrays()
-        assert clone.pis == aig.pis
-        assert clone.pos == aig.pos
-        assert clone.po_names == aig.po_names
-        assert [clone.node(v).name for v in clone.pis] == \
-            [aig.node(v).name for v in aig.pis]
-        assert clone.name == aig.name
-
-    def test_decode_rejects_corrupt_payloads(self, spec):
-        aig = spec.build_evaluator(cache=False).aig
-        payload = shm.encode_aig(aig)
-        with pytest.raises(ValueError, match="magic"):
-            shm.decode_aig(b"XXXX" + payload[4:])
-        with pytest.raises(ValueError, match="trailing"):
-            shm.decode_aig(payload + b"\x00")
-
-    def test_from_flat_arrays_validates_shape(self):
-        from repro.aig.graph import AIG
-
-        with pytest.raises(ValueError, match="equal length"):
-            AIG.from_flat_arrays(name="x", is_and=[0, 0], fanin0=[0],
-                                 fanin1=[0, 0], pi_names=["a"], pos=[],
-                                 po_names=[])
-        with pytest.raises(ValueError, match="constant"):
-            AIG.from_flat_arrays(name="x", is_and=[1], fanin0=[0],
-                                 fanin1=[0], pi_names=[], pos=[],
-                                 po_names=[])
-
     def test_publish_attach_unlink_round_trip(self, spec):
         aig = spec.build_evaluator(cache=False).aig
         shm.reset_counters()
@@ -417,6 +387,73 @@ class TestEngineWarmPool:
             engine.close()
         # ... but not after close: recovery never leaks segments.
         assert shm.attach_aig(handle) is None
+
+
+# ---------------------------------------------------------------------------
+# Synthesis-memo counters (read-only diagnostics)
+# ---------------------------------------------------------------------------
+_MEMO_COUNTERS = ("synth_memo_hits", "synth_memo_misses",
+                  "synth_memo_evictions", "synth_memo_bytes")
+
+
+class TestSynthMemoCounters:
+    def test_counters_track_steps_and_mapping(self, spec):
+        aig = spec.build_evaluator(cache=False).aig
+        sequence = ("rewrite", "balance", "refactor")
+        native.clear_synth_memo()
+        NativeBackend().measure(aig, sequence, 6)
+        first = worker.worker_diagnostics()
+        # Three pass steps plus the mapping: all misses on a cold memo.
+        assert first["synth_memo_hits"] == 0
+        assert first["synth_memo_misses"] == len(sequence) + 1
+        assert first["synth_memo_evictions"] == 0
+        assert 0 < first["synth_memo_bytes"] <= native.SYNTH_MEMO_BYTES
+        # A fresh backend shares the process-wide memo.
+        NativeBackend().measure(aig, sequence, 6)
+        second = worker.worker_diagnostics()
+        assert second["synth_memo_hits"] == len(sequence) + 1
+        assert second["synth_memo_misses"] == first["synth_memo_misses"]
+        assert second["synth_memo_bytes"] == first["synth_memo_bytes"]
+
+    def test_byte_bound_evicts_least_recent(self, spec, monkeypatch):
+        aig = spec.build_evaluator(cache=False).aig
+        backend = NativeBackend()
+        expected = backend.measure(aig, ("rewrite", "balance"), 6)
+        # Room for roughly one encoded state: every new step evicts.
+        tiny = native._SynthesisMemo(limit=len(encode_aig(aig)) + 300)
+        monkeypatch.setattr(native, "_MEMO", tiny)
+        for _ in range(2):
+            assert backend.measure(aig, ("rewrite", "balance"), 6) == expected
+        stats = native.synth_memo_stats()
+        assert stats["synth_memo_evictions"] > 0
+        assert 0 < stats["synth_memo_bytes"] <= tiny.limit
+
+    def test_pool_workers_report_counters(self, spec, batches):
+        with EvaluationEngine(spec, jobs=2, adaptive=False) as engine:
+            for batch in batches:
+                engine.compute_batch(batch)
+            pool = engine._ensure_pool()
+            diagnostics = [pool.submit(worker.worker_diagnostics).result()
+                           for _ in range(4)]
+        for diag in diagnostics:
+            assert all(isinstance(diag[name], int) for name in _MEMO_COUNTERS)
+            assert diag["synth_memo_misses"] > 0
+            assert 0 < diag["synth_memo_bytes"] <= native.SYNTH_MEMO_BYTES
+
+    def test_counters_never_reach_records_or_store(self, tmp_path):
+        from repro.api import Campaign, Problem, run_campaign
+
+        campaign = Campaign(problems=(Problem("adder", width=4,
+                                              sequence_length=3),),
+                            methods=("rs",), seeds=(0,), budget=4,
+                            name="memo-counters")
+        records = run_campaign(campaign, store=str(tmp_path / "store"))
+        assert records and all(r.status == "ok" for r in records)
+        for record in records:
+            assert "synth_memo" not in json.dumps(record.to_dict())
+        for path in (tmp_path / "store").rglob("*"):
+            if path.is_file():
+                assert b"synth_memo" not in path.read_bytes(), path
 
 
 # ---------------------------------------------------------------------------
