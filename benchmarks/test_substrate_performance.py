@@ -179,21 +179,22 @@ class TestHotPathSpeedups:
         assert speedup > 1.0
 
     def test_round_streaming_checkpoint_overhead(self, tmp_path_factory):
-        """Round-granular execution vs the cell-granular PR 3 baseline.
+        """Round-granular streaming vs the same cell with it all off.
 
-        Runs the same BOiLS cell through the legacy cell-granular worker
-        (one opaque result blob, no events) and through the
-        round-granular campaign worker with everything on: per-round
-        event streaming, per-round trajectory JSONL appends and a
-        ``checkpoint_every=1`` optimiser checkpoint (GP state included)
-        every round.  The streaming machinery must cost <5 % wall-clock;
-        the recorded ``speedup`` (cell-granular / streaming, ~1.0) feeds
-        the committed-baseline regression gate like every other path.
+        Runs the same BOiLS cell through the campaign worker twice: once
+        on a cell-granular payload (no store, no event sink, so no
+        events, trajectory appends or checkpoints), and once with
+        everything on: per-round event streaming, per-round trajectory
+        JSONL appends and a ``checkpoint_every=1`` optimiser checkpoint
+        (GP state included) every round.  The streaming machinery must
+        cost <5 % wall-clock; the recorded ``speedup`` (cell-granular /
+        streaming, ~1.0) feeds the committed-baseline regression gate
+        like every other path.
         """
         from repro.api import Campaign, CampaignStore, Problem
         from repro.engine import worker
-        from repro.engine.grid import build_cell_payload
         from repro.engine.spec import EvaluatorSpec
+        from repro.engine.worker import build_cell_payload
 
         spec = EvaluatorSpec.for_circuit("adder", width=8)
         overrides = {"num_initial": 4, "local_search_queries": 50,
@@ -205,7 +206,7 @@ class TestHotPathSpeedups:
         cell_granular_payload = build_cell_payload(index=0, **base_kwargs)
 
         def cell_granular():
-            worker.run_grid_cell(cell_granular_payload)
+            worker.run_campaign_cell(cell_granular_payload)
 
         # Store setup (tmp dir + fsync'd manifest write) happens up
         # front, outside the timed region — the measurement must cover

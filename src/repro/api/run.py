@@ -1,9 +1,10 @@
 """Campaign execution: ``run``, ``resume`` and the one-problem helper.
 
-:func:`run_campaign` is the single driver behind the CLI's ``run`` /
-``resume`` subcommands and the legacy grid entry points: it expands a
-:class:`~repro.api.campaign.Campaign` into cells, skips any cell that
-already has a completed record in the
+:func:`run_campaign` is the single grid driver: the CLI's ``run`` /
+``resume`` subcommands, :func:`repro.experiments.run_experiment` (and
+so every paper study and the ``table`` shim) all go through it.  It
+expands a :class:`~repro.api.campaign.Campaign` into cells, skips any
+cell that already has a completed record in the
 :class:`~repro.api.store.CampaignStore`, dispatches the rest serially or
 across a process pool (reusing the engine's campaign workers —
 ``jobs=N`` is bit-identical to ``jobs=1``), and persists each finished
@@ -49,13 +50,13 @@ from repro.bo.base import OptimisationResult
 from repro.engine import faults, worker
 from repro.engine.engine import EvaluationEngine, resolve_jobs
 from repro.engine.pool import WarmPool
+from repro.engine.worker import build_cell_payload
 from repro.engine.faults import (
     DeadlineExceeded,
     FaultPlan,
     PoolUnrecoverableError,
     RetryPolicy,
 )
-from repro.engine.grid import build_cell_payload
 
 ProgressCallback = Callable[[str], None]
 #: Round-event callback: ``(cell_id, event_dict)`` for every streamed

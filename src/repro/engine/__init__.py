@@ -1,4 +1,4 @@
-"""Parallel evaluation engine: worker pools, persistent QoR cache, grids.
+"""Parallel evaluation engine: worker pools, persistent QoR cache, cells.
 
 This package is the execution layer under every optimiser and experiment
 in the reproduction.  It has four cooperating pieces:
@@ -27,10 +27,12 @@ in the reproduction.  It has four cooperating pieces:
   in-memory memoisation: hits skip the synthesis + mapping computation
   but still count as per-run evaluations (the paper's sample-complexity
   unit).
-* :mod:`repro.engine.grid` — the parallel (method × circuit × seed)
-  experiment runner, dispatching grid cells across the pool with
-  deterministic per-cell seeding and fresh per-cell evaluator state, so
-  ``--jobs N`` reproduces ``--jobs 1`` exactly.
+* :mod:`repro.engine.worker` — the process-side entry points: the batch
+  evaluator behind :class:`EvaluationEngine` and the one cell runner
+  (``run_campaign_cell``) behind every (method × circuit × seed) grid.
+  :func:`repro.api.run_campaign` drives it serially or across a warm
+  pool with deterministic per-cell seeding and fresh per-cell evaluator
+  state, so ``--jobs N`` reproduces ``--jobs 1`` exactly.
 
 The batch-optimiser protocol (``suggest``/``observe`` on
 :class:`repro.bo.base.SequenceOptimiser`) is the producer side of this
@@ -50,11 +52,11 @@ from repro.engine.faults import (
     RetryPolicy,
     deadline,
 )
-from repro.engine.grid import build_cell_payload, run_grid
 from repro.engine.planner import ExecutionPlanner, PlanDecision, effective_parallelism
 from repro.engine.pool import WarmPool, terminate_pool
 from repro.engine.shm import SharedAIGHandle
 from repro.engine.spec import EvaluatorSpec, resolve_circuit_width
+from repro.engine.worker import build_cell_payload
 
 __all__ = [
     "DeadlineExceeded",
@@ -77,6 +79,5 @@ __all__ = [
     "effective_parallelism",
     "resolve_circuit_width",
     "resolve_jobs",
-    "run_grid",
     "terminate_pool",
 ]

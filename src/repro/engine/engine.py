@@ -64,14 +64,10 @@ from repro.engine.faults import (
     RetryPolicy,
 )
 from repro.engine.planner import ExecutionPlanner, PlanDecision
-from repro.engine.pool import WarmPool, terminate_pool
+from repro.engine.pool import WarmPool
 from repro.engine.spec import EvaluatorSpec
 from repro.qor.evaluator import QoREvaluator, SequenceEvaluation
 from repro.synth.operations import sequence_to_names
-
-#: Backwards-compatible alias; the implementation moved to
-#: :mod:`repro.engine.pool` alongside :class:`WarmPool`.
-_terminate_pool = terminate_pool
 
 #: How many routing decisions :meth:`EvaluationEngine.metadata` retains.
 _DECISION_LOG_LIMIT = 64

@@ -1,12 +1,14 @@
 """Warm process pools: the one sanctioned ProcessPoolExecutor owner.
 
-Every parallel path in the engine/api layer (batch evaluation, grid
-sweeps, campaign cells) used to construct a fresh ``ProcessPoolExecutor``
-per call site and tear it down per batch — the root cause of the
-parallelism inversion recorded in ``benchmarks/artifacts``.  ``WarmPool``
-owns one executor across batches/rounds/cells and exposes the two
-operations supervision needs: lazy (re)build and epoch-bumping recycle
-after a crash or deadline kill.
+The engine/api layer has two parallel paths: batch evaluation inside
+one run (:class:`~repro.engine.engine.EvaluationEngine`) and campaign
+cells (:func:`repro.api.run.run_campaign`, which every experiment grid
+goes through).  Each owns one ``WarmPool``: a single executor kept
+across batches, rounds and cells instead of a fresh
+``ProcessPoolExecutor`` per call site, which used to make parallel runs
+slower than serial ones.  ``WarmPool`` exposes the two operations
+supervision needs: lazy (re)build and epoch-bumping recycle after a
+crash or deadline kill.
 
 Lint rule RPL008 flags direct ``ProcessPoolExecutor`` construction in
 ``repro/engine``/``repro/api``; this module is the allowlisted home.

@@ -2,19 +2,24 @@
 
 Pool workers hold per-process state in module globals: an evaluator
 rebuilt from the picklable :class:`repro.engine.spec.EvaluatorSpec`
-(AIGs never cross the pipe) and, for grid cells, a small registry of
+(AIGs never cross the pipe) and, for campaign cells, a small registry of
 evaluators keyed by circuit so the expensive ``resyn2`` reference mapping
 is computed once per worker rather than once per cell.  Everything in
 this module is importable at top level — a requirement for
 ``multiprocessing`` pickling of the initialiser and task functions.
 
-Campaign cells (:func:`run_campaign_cell`) are *round-granular*: instead
-of returning one opaque result blob at the end, the worker streams typed
-:class:`repro.bo.base.RunEvent` summaries back to the parent over a
-manager queue as each ask/tell round completes, appends per-round
-trajectory lines to the campaign store, persists periodic optimiser
-checkpoints, and — when a checkpoint for the cell already exists —
-resumes the interrupted cell from it bit-identically.
+:func:`run_campaign_cell` is the one cell runner behind every
+(method × circuit × seed) grid — ``repro run``, the experiment studies
+and the ``table`` CLI all reach it through
+:func:`repro.api.run.run_campaign`, serially in-process or in a pool
+worker, on a payload built by :func:`build_cell_payload`.  Cells are
+*round-granular*: instead of returning one opaque result blob at the
+end, the worker streams typed :class:`repro.bo.base.RunEvent` summaries
+back to the parent over a manager queue as each ask/tell round
+completes, appends per-round trajectory lines to the campaign store,
+persists periodic optimiser checkpoints, and — when a checkpoint for the
+cell already exists — resumes the interrupted cell from it
+bit-identically.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ def init_evaluation_worker(spec_payload: Dict[str, object],
     than forever.
     """
     global _BATCH_EVALUATOR, _IN_POOL, _EPOCH
-    # The parent may have run serial grid cells first, leaving an open
-    # cache connection in this module's grid globals; abandon anything
+    # The parent may have run serial campaign cells first, leaving an
+    # open cache connection in this module's cell globals; abandon anything
     # inherited across fork before doing work in this process.
     _discard_state_from_other_process()
     _IN_POOL = True
@@ -89,8 +94,8 @@ def worker_diagnostics() -> Dict[str, object]:
         "epoch": _EPOCH,
         "in_pool": _IN_POOL,
         "batch_evaluator_ready": _BATCH_EVALUATOR is not None,
-        "grid_evaluators": len(_GRID_EVALUATORS),
-        "grid_evictions": _GRID_EVALUATORS.evictions,
+        "cell_evaluators": len(_CELL_EVALUATORS),
+        "cell_evictions": _CELL_EVALUATORS.evictions,
         "shm_attaches": shm.attach_count(),
         "shm_fallbacks": shm.fallback_count(),
         **synth_memo_stats(),
@@ -98,11 +103,11 @@ def worker_diagnostics() -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Grid-cell workers (parallel experiment runner)
+# Campaign-cell workers: per-process evaluators + persistent cache
 # ----------------------------------------------------------------------
 _UNSET = object()  # distinct from None, which is a valid cache_dir
-_GRID_CACHE_DIR: object = _UNSET
-_GRID_CACHE: Optional[PersistentQoRCache] = None
+_CELL_CACHE_DIR: object = _UNSET
+_CELL_CACHE: Optional[PersistentQoRCache] = None
 
 #: Default bound for the per-worker evaluator cache.  Warm pool workers
 #: now live for a whole sweep, so an unbounded circuit-keyed cache would
@@ -137,7 +142,7 @@ class _EvaluatorLRU:
         while len(self._items) > self.limit > 0:
             # Evicted evaluators are just dropped, never closed: the
             # persistent cache handle they reference is process-wide
-            # (_GRID_CACHE) and stays open for their survivors.
+            # (_CELL_CACHE) and stays open for their survivors.
             self._items.popitem(last=False)
             self.evictions += 1
 
@@ -148,67 +153,43 @@ class _EvaluatorLRU:
         return len(self._items)
 
 
-_GRID_EVALUATORS = _EvaluatorLRU()
-_GRID_PID: Optional[int] = None
+_CELL_EVALUATORS = _EvaluatorLRU()
+_CELL_PID: Optional[int] = None
 _ABANDONED_CACHES: list = []  # fork-inherited handles we must never close
 
 
 def _discard_state_from_other_process() -> None:
-    """Drop grid state inherited across ``fork``.
+    """Drop cell state inherited across ``fork``.
 
-    The serial grid path mutates these globals in the parent process, so
-    forked pool workers start with the parent's open SQLite handle and
-    evaluators.  SQLite connections must not be used (not even closed)
-    from another process — abandon them and start clean.
+    The serial campaign path mutates these globals in the parent
+    process, so forked pool workers start with the parent's open SQLite
+    handle and evaluators.  SQLite connections must not be used (not
+    even closed) from another process — abandon them and start clean.
     """
-    global _GRID_CACHE_DIR, _GRID_CACHE, _GRID_PID
-    if _GRID_PID != os.getpid():
-        if _GRID_CACHE is not None:
+    global _CELL_CACHE_DIR, _CELL_CACHE, _CELL_PID
+    if _CELL_PID != os.getpid():
+        if _CELL_CACHE is not None:
             # Keep the inherited handle referenced forever so the child
             # never finalises (= closes) a connection it does not own.
-            _ABANDONED_CACHES.append(_GRID_CACHE)
-        _GRID_CACHE = None
-        _GRID_CACHE_DIR = _UNSET
-        _GRID_EVALUATORS.clear()
+            _ABANDONED_CACHES.append(_CELL_CACHE)
+        _CELL_CACHE = None
+        _CELL_CACHE_DIR = _UNSET
+        _CELL_EVALUATORS.clear()
         shm.reset_counters()
-        _GRID_PID = os.getpid()
+        _CELL_PID = os.getpid()
 
 
-def init_grid_worker(cache_dir: Optional[str],
-                     cache_limit: Optional[int] = None) -> None:
-    """Pool initialiser for grid cells; also used by the serial fallback.
-
-    ``cache_limit`` overrides the per-worker evaluator LRU bound
-    (``None`` keeps the current bound) — tests use ``1`` to exercise
-    eviction, long corpus sweeps may raise it.
-    """
-    global _GRID_CACHE_DIR, _GRID_CACHE
-    _discard_state_from_other_process()
-    if cache_limit is not None:
-        _GRID_EVALUATORS.limit = int(cache_limit)
-    if cache_dir != _GRID_CACHE_DIR:
-        if _GRID_CACHE is not None:
-            _GRID_CACHE.close()
-            _GRID_CACHE = None
-        # Cached evaluators hold a reference to the previous cache handle
-        # (possibly none), so they cannot be reused across cache dirs.
-        _GRID_EVALUATORS.clear()
-    _GRID_CACHE_DIR = cache_dir
-    if cache_dir is not None and _GRID_CACHE is None:
-        _GRID_CACHE = PersistentQoRCache(cache_dir)
-
-
-def _grid_evaluator(spec: EvaluatorSpec) -> QoREvaluator:
+def _cell_evaluator(spec: EvaluatorSpec) -> QoREvaluator:
     """Per-process evaluator for a circuit, built on first use.
 
     Cached in a bounded LRU keyed by the spec's identity — an eviction
     re-pays construction on next use but cannot change results.
     """
     key = spec.identity_key()
-    evaluator = _GRID_EVALUATORS.get(key)
+    evaluator = _CELL_EVALUATORS.get(key)
     if evaluator is None:
-        evaluator = spec.build_evaluator(cache=True, persistent_cache=_GRID_CACHE)
-        _GRID_EVALUATORS.put(key, evaluator)
+        evaluator = spec.build_evaluator(cache=True, persistent_cache=_CELL_CACHE)
+        _CELL_EVALUATORS.put(key, evaluator)
     return evaluator
 
 
@@ -220,15 +201,14 @@ def _prepare_cell(
     Each cell starts from a clean per-run state (history, counters and
     in-memory memoisation cleared) so its result does not depend on which
     cells ran before it in the same process — the property that makes
-    ``jobs=1`` and ``jobs=N`` grids identical.  Both cell runners
-    (:func:`run_grid_cell`, :func:`run_campaign_cell`) build on this.
+    ``jobs=1`` and ``jobs=N`` grids identical.
     """
     # Imported here: the runner imports this package for its public API,
     # and a module-level import back into the runner would be circular.
     from repro.experiments.runner import make_optimiser
 
     spec = EvaluatorSpec.from_payload(payload["spec"])  # type: ignore[arg-type]
-    evaluator = _grid_evaluator(spec)
+    evaluator = _cell_evaluator(spec)
     evaluator.reset_history(clear_cache=True)
     optimiser = make_optimiser(
         str(payload["method_key"]),
@@ -238,22 +218,6 @@ def _prepare_cell(
     )
     return (spec, evaluator, optimiser,
             int(payload["budget"]), int(payload["index"]))  # type: ignore[arg-type]
-
-
-def run_grid_cell(payload: Dict[str, object]) -> Tuple[int, object]:
-    """Run one (method, circuit, seed) cell; returns ``(index, result)``."""
-    spec, evaluator, optimiser, budget, index = _prepare_cell(payload)
-    # Persistent-cache writes are buffered and committed once per cell:
-    # one SQLite transaction instead of one per evaluation, so workers do
-    # not contend for the writer lock at high --jobs.
-    evaluator.defer_persistent_writes(True)
-    try:
-        result = optimiser.optimise(evaluator, budget=budget)
-    finally:
-        # Turning deferral off flushes anything still buffered.
-        evaluator.defer_persistent_writes(False)
-    result.circuit = spec.circuit
-    return index, result
 
 
 def _make_space(payload: Dict[str, object]) -> "SequenceSpace":
@@ -268,21 +232,81 @@ def _make_space(payload: Dict[str, object]) -> "SequenceSpace":
 _EVENT_QUEUE: Optional[object] = None
 
 
+def build_cell_payload(
+    *,
+    index: int,
+    spec: EvaluatorSpec,
+    method_key: str,
+    seed: int,
+    budget: int,
+    sequence_length: Optional[int],
+    overrides: Optional[Dict[str, object]] = None,
+    cell_id: Optional[str] = None,
+    store_root: Optional[str] = None,
+    checkpoint_every: int = 0,
+    wall_clock_budget: Optional[float] = None,
+    early_stop_improvement: Optional[float] = None,
+    attempt: int = 0,
+) -> Dict[str, object]:
+    """The picklable payload :func:`run_campaign_cell` consumes.
+
+    The optional keys (``cell_id``, ``store_root``, ``checkpoint_every``,
+    ``wall_clock_budget``, ``early_stop_improvement``, ``attempt``) are
+    included only when set, so a store-less payload stays minimal.
+    """
+    payload: Dict[str, object] = {
+        "index": int(index),
+        "spec": spec.to_payload(),
+        "method_key": str(method_key),
+        "seed": int(seed),
+        "budget": int(budget),
+        "sequence_length": sequence_length,
+        "overrides": dict(overrides or {}),
+    }
+    if cell_id is not None:
+        payload["cell_id"] = str(cell_id)
+    if store_root is not None:
+        payload["store_root"] = str(store_root)
+    if checkpoint_every:
+        payload["checkpoint_every"] = int(checkpoint_every)
+    if wall_clock_budget is not None:
+        payload["wall_clock_budget"] = float(wall_clock_budget)
+    if early_stop_improvement is not None:
+        payload["early_stop_improvement"] = float(early_stop_improvement)
+    if attempt:
+        payload["attempt"] = int(attempt)
+    return payload
+
+
 def init_campaign_worker(cache_dir: Optional[str],
                          event_queue: Optional[object] = None,
                          in_pool: bool = False,
                          cache_limit: Optional[int] = None) -> None:
-    """Pool initialiser for campaign cells.
+    """Pool initialiser for campaign cells; also used by the serial path.
 
     ``event_queue`` is a ``multiprocessing.Manager`` queue proxy (or
     ``None`` when the parent did not ask for live events); every cell
     running in this worker streams its round events into it as
     ``(cell_id, event_dict)`` tuples.  ``in_pool`` marks this process as
     a pool worker (injected crashes become hard process exits).
-    ``cache_limit`` threads through to :func:`init_grid_worker`.
+    ``cache_limit`` overrides the per-worker evaluator LRU bound
+    (``None`` keeps the current bound) — tests use ``1`` to exercise
+    eviction, long corpus sweeps may raise it.
     """
-    global _EVENT_QUEUE, _IN_POOL
-    init_grid_worker(cache_dir, cache_limit=cache_limit)
+    global _CELL_CACHE_DIR, _CELL_CACHE, _EVENT_QUEUE, _IN_POOL
+    _discard_state_from_other_process()
+    if cache_limit is not None:
+        _CELL_EVALUATORS.limit = int(cache_limit)
+    if cache_dir != _CELL_CACHE_DIR:
+        if _CELL_CACHE is not None:
+            _CELL_CACHE.close()
+            _CELL_CACHE = None
+        # Cached evaluators hold a reference to the previous cache handle
+        # (possibly none), so they cannot be reused across cache dirs.
+        _CELL_EVALUATORS.clear()
+    _CELL_CACHE_DIR = cache_dir
+    if cache_dir is not None and _CELL_CACHE is None:
+        _CELL_CACHE = PersistentQoRCache(cache_dir)
     _EVENT_QUEUE = event_queue
     _IN_POOL = bool(in_pool)
 
@@ -302,9 +326,10 @@ def run_campaign_cell(
     payload: Dict[str, object],
     event_sink: Optional[EventSink] = None,
 ) -> Tuple[int, object]:
-    """Run (or resume) one campaign cell with round-granular streaming.
+    """Run (or resume) one (method, circuit, seed) cell; ``(index, result)``.
 
-    Extends :func:`run_grid_cell` with the round-granular machinery:
+    Without ``store_root`` or an event sink the cell simply drives its
+    optimiser to the budget.  The round-granular machinery on top:
 
     * every :class:`~repro.bo.base.RunEvent` of the cell's drive loop is
       forwarded to ``event_sink`` (serial path) or the pool's manager
@@ -339,13 +364,13 @@ def run_campaign_cell(
         event_sink = _queue_event_sink()
 
     # Fault-injection context: scheduled events are keyed by this cell's
-    # (cell_id, attempt); the cache hook makes the shared grid cache see
+    # (cell_id, attempt); the cache hook makes the shared cell cache see
     # scheduled transient errors for the duration of this cell only.
     inject = spec.fault_plan is not None or spec.eval_timeout is not None
     if inject:
         faults.activate(cell_id, attempt, hard_crash=_IN_POOL)
-        if _GRID_CACHE is not None:
-            _GRID_CACHE.fault_hook = faults.build_cache_hook(spec.fault_plan)
+        if _CELL_CACHE is not None:
+            _CELL_CACHE.fault_hook = faults.build_cache_hook(spec.fault_plan)
     try:
         return _run_campaign_cell_body(
             payload, spec, evaluator, optimiser, budget, index,
@@ -353,8 +378,8 @@ def run_campaign_cell(
     finally:
         if inject:
             faults.deactivate()
-            if _GRID_CACHE is not None:
-                _GRID_CACHE.fault_hook = None
+            if _CELL_CACHE is not None:
+                _CELL_CACHE.fault_hook = None
 
 
 def _run_campaign_cell_body(

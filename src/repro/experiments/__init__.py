@@ -3,7 +3,9 @@
 Every experiment in the paper's Section IV has a dedicated module:
 
 * :mod:`repro.experiments.runner` — shared machinery: build optimisers by
-  name, run (method × circuit × seed) grids, aggregate results.
+  name, run (method × circuit × seed) grids through
+  :func:`repro.api.run_campaign` (the one grid driver), aggregate
+  results.
 * :mod:`repro.experiments.qor_table` — Figure 3 (top row): the QoR
   improvement table over all ten circuits.
 * :mod:`repro.experiments.sample_efficiency` — Figure 1: evaluations
@@ -24,7 +26,6 @@ from repro.experiments.runner import (
     available_methods,
     make_optimiser,
     run_experiment,
-    run_method_on_circuit,
 )
 from repro.experiments.qor_table import QoRTable, build_qor_table
 from repro.experiments.sample_efficiency import SampleEfficiencyResult, sample_efficiency_study
@@ -38,7 +39,6 @@ __all__ = [
     "available_methods",
     "make_optimiser",
     "run_experiment",
-    "run_method_on_circuit",
     "QoRTable",
     "build_qor_table",
     "SampleEfficiencyResult",

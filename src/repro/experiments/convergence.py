@@ -7,7 +7,7 @@ sequences, averaged over seeds, for each method on the four large circuits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -74,16 +74,7 @@ def convergence_study(
     """Run the Figure 3 (middle row) study on the large circuits."""
     config = config if config is not None else ExperimentConfig()
     selected = list(circuits if circuits is not None else LARGE_CIRCUITS)
-    config = ExperimentConfig(
-        budget=config.budget,
-        num_seeds=config.num_seeds,
-        sequence_length=config.sequence_length,
-        circuit_width=config.circuit_width,
-        methods=config.methods,
-        circuits=selected,
-        lut_size=config.lut_size,
-        method_overrides=config.method_overrides,
-    )
+    config = replace(config, circuits=selected)
     results = run_experiment(config, progress=progress)
     return build_convergence_curves(results)
 

@@ -9,7 +9,7 @@ RS and DRL).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,15 +136,6 @@ def pareto_study(
     """Run the Figure 3 (bottom row) study."""
     config = config if config is not None else ExperimentConfig()
     selected = list(circuits if circuits is not None else LARGE_CIRCUITS)
-    config = ExperimentConfig(
-        budget=config.budget,
-        num_seeds=config.num_seeds,
-        sequence_length=config.sequence_length,
-        circuit_width=config.circuit_width,
-        methods=config.methods,
-        circuits=selected,
-        lut_size=config.lut_size,
-        method_overrides=config.method_overrides,
-    )
+    config = replace(config, circuits=selected)
     results = run_experiment(config, progress=progress)
     return build_pareto_study(results)

@@ -10,7 +10,10 @@ env-var-steered :class:`ExperimentConfig`.  Both have been superseded:
 * grid configuration is the declarative :class:`repro.api.Campaign` /
   :class:`repro.api.Problem` pair — :class:`ExperimentConfig` remains as
   a deprecated adapter (see :meth:`ExperimentConfig.to_campaign`) so
-  existing scripts keep running unchanged.
+  existing scripts keep running unchanged;
+* grid execution is :func:`repro.api.run_campaign` —
+  :func:`run_experiment` converts the config and runs it there without
+  a store, so every paper study shares the campaign's cell runner.
 
 New code should import from :mod:`repro.api`.
 """
@@ -20,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.api import Campaign, Problem, run_campaign
+from repro.api.campaign import env_int
 from repro.bo.base import OptimisationResult, SequenceOptimiser
 from repro.bo.space import SequenceSpace
-from repro.circuits import get_circuit
-from repro.qor import QoREvaluator
 from repro.registry import MethodSpec, OPTIMISERS, optimiser_spec
 
 __all__ = [
@@ -32,7 +35,6 @@ __all__ = [
     "available_methods",
     "method_display_names",
     "make_optimiser",
-    "run_method_on_circuit",
     "run_experiment",
     "group_results",
 ]
@@ -72,14 +74,11 @@ def make_optimiser(
 def _env_int(name: str, default: int) -> int:
     """An integer environment override, warning loudly when malformed.
 
-    Delegates to :func:`repro.api.campaign.env_int` (imported lazily to
-    keep this legacy module cycle-free): a typo like ``REPRO_BUDGET=abc``
-    still falls back to the default, but emits a :class:`UserWarning`
-    naming the variable and the value instead of silently running the
-    wrong experiment.
+    Delegates to :func:`repro.api.campaign.env_int`: a typo like
+    ``REPRO_BUDGET=abc`` still falls back to the default, but emits a
+    :class:`UserWarning` naming the variable and the value instead of
+    silently running the wrong experiment.
     """
-    from repro.api.campaign import env_int
-
     return env_int(name, default)
 
 
@@ -117,10 +116,8 @@ class ExperimentConfig:
     def space(self) -> SequenceSpace:
         return SequenceSpace(sequence_length=self.sequence_length)
 
-    def to_campaign(self, name: str = "experiment"):
+    def to_campaign(self, name: str = "experiment") -> Campaign:
         """The equivalent declarative :class:`repro.api.Campaign`."""
-        from repro.api import Campaign, Problem
-
         problems = tuple(
             Problem(
                 circuit=circuit,
@@ -160,27 +157,6 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
-def run_method_on_circuit(
-    method_key: str,
-    circuit_name: str,
-    config: ExperimentConfig,
-    seed: int,
-    evaluator: Optional[QoREvaluator] = None,
-) -> OptimisationResult:
-    """Run one (method, circuit, seed) cell of the grid."""
-    if evaluator is None:
-        aig = get_circuit(circuit_name, width=config.circuit_width)
-        evaluator = QoREvaluator(aig, lut_size=config.lut_size,
-                                 objective=config.objective)
-    else:
-        evaluator.reset_history()
-    overrides = dict(config.method_overrides.get(method_key, {}))
-    optimiser = make_optimiser(method_key, space=config.space(), seed=seed, **overrides)
-    result = optimiser.optimise(evaluator, budget=config.budget)
-    result.circuit = circuit_name
-    return result
-
-
 def run_experiment(
     config: ExperimentConfig,
     progress: Optional[Callable[[str], None]] = None,
@@ -189,20 +165,34 @@ def run_experiment(
 ) -> List[OptimisationResult]:
     """Run the full (method × circuit × seed) grid described by ``config``.
 
-    Cells are dispatched through :mod:`repro.engine.grid`: ``jobs > 1``
-    runs them across a process pool, ``jobs = 1`` runs the same cell code
-    in-process.  Every cell starts from a fresh per-run evaluator state
-    (the ``resyn2`` reference mapping is still shared per circuit within
-    a process), which makes the result grid independent of ``jobs`` and
-    of cell ordering.  Pass ``cache_dir`` to share a persistent QoR cache
-    across cells, processes and repeated runs — warm entries skip the
-    synthesis + mapping computation without changing any result.
-    """
-    # Imported here to avoid a module cycle (the grid imports the method
-    # registry from this module).
-    from repro.engine.grid import run_grid
+    The grid runs as :meth:`ExperimentConfig.to_campaign` through
+    :func:`repro.api.run_campaign` with no store: ``jobs > 1`` spreads
+    the cells over a warm process pool, ``jobs = 1`` runs the same cell
+    code in-process.  Every cell starts from a fresh per-run evaluator
+    state (the ``resyn2`` reference mapping is still shared per circuit
+    within a process), which makes the result grid independent of
+    ``jobs`` and of cell ordering.  Pass ``cache_dir`` to share a
+    persistent QoR cache across cells, processes and repeated runs —
+    warm entries skip the synthesis + mapping computation without
+    changing any result.
 
-    return run_grid(config, jobs=jobs, cache_dir=cache_dir, progress=progress)
+    Results come back circuit-major, then method, then seed.  A cell
+    that fails or is quarantined raises :class:`RuntimeError` naming the
+    cell and its error, so no table is ever built from a partial grid.
+    """
+    records = run_campaign(config.to_campaign(), jobs=jobs,
+                           cache_dir=cache_dir, progress=progress)
+    unfinished = [record for record in records if not record.ok]
+    if unfinished:
+        details = "; ".join(
+            f"{record.cell_id} {record.status}: {record.metadata.get('error')}"
+            for record in unfinished
+        )
+        raise RuntimeError(
+            f"{len(unfinished)} of {len(records)} experiment cells did not "
+            f"finish: {details}"
+        )
+    return [record.to_result() for record in records]
 
 
 def group_results(results: Sequence[OptimisationResult]) -> Dict[str, Dict[str, List[OptimisationResult]]]:

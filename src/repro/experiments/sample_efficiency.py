@@ -10,19 +10,16 @@ circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bo.base import OptimisationResult
 from repro.experiments.runner import (
     ExperimentConfig,
     group_results,
-    make_optimiser,
+    run_experiment,
 )
-from repro.circuits import get_circuit
-from repro.qor import QoREvaluator
 
 
 @dataclass
@@ -92,37 +89,22 @@ def sample_efficiency_study(
     extended_budget:
         Budget allowed to the other methods (1000 in the paper); defaults
         to ``5 × config.budget``.
+
+    The study is two grids through :func:`run_experiment`: the reference
+    method at ``config.budget``, then every other method at the extended
+    budget, both under ``config``'s objective.
     """
     config = config if config is not None else ExperimentConfig()
     extended = extended_budget if extended_budget is not None else 5 * config.budget
-    reference_display = None
 
+    # Reference runs define each circuit's target.
+    reference = group_results(run_experiment(
+        replace(config, methods=(reference_method,)), progress=progress))
+    ((reference_display, reference_runs),) = reference.items()
     targets: Dict[str, float] = {}
-    evaluations: Dict[str, Dict[str, List[float]]] = {}
-
-    for circuit_name in config.circuits:
-        aig = get_circuit(circuit_name, width=config.circuit_width)
-        evaluator = QoREvaluator(aig, lut_size=config.lut_size)
-
-        # Reference runs define the target for this circuit.
-        reference_improvements = []
-        reference_counts = []
-        for seed in range(config.num_seeds):
-            if progress is not None:
-                progress(f"[fig1] {reference_method} / {circuit_name} / seed {seed}")
-            # clear_cache=True: each run must count every sequence it
-            # tests, independent of what previous runs evaluated (same
-            # per-run accounting as the grid runner).
-            evaluator.reset_history(clear_cache=True)
-            optimiser = make_optimiser(
-                reference_method, space=config.space(), seed=seed,
-                **dict(config.method_overrides.get(reference_method, {})),
-            )
-            result = optimiser.optimise(evaluator, budget=config.budget)
-            reference_display = result.method
-            reference_improvements.append(result.best_improvement)
-            reference_counts.append(float(result.num_evaluations))
-        reference_mean = float(np.mean(reference_improvements))
+    evaluations: Dict[str, Dict[str, List[float]]] = {reference_display: {}}
+    for circuit_name, runs in reference_runs.items():
+        reference_mean = float(np.mean([run.best_improvement for run in runs]))
         # "Reach 97.5 % of the reference improvement": for positive
         # improvements this is the paper's plain fraction; written as
         # "within 2.5 % of |ref| below ref" it stays meaningful when the
@@ -130,29 +112,23 @@ def sample_efficiency_study(
         # negative (a plain fraction of a negative number would be a
         # target *above* the reference — trivially unreachable — while a
         # fraction of ~0 is trivially reached by the first sample).
-        target = reference_mean - (1.0 - target_fraction) * abs(reference_mean)
-        targets[circuit_name] = target
-        evaluations.setdefault(reference_display, {}).setdefault(circuit_name, []).extend(
-            reference_counts
-        )
+        targets[circuit_name] = (reference_mean
+                                 - (1.0 - target_fraction) * abs(reference_mean))
+        evaluations[reference_display][circuit_name] = [
+            float(run.num_evaluations) for run in runs
+        ]
 
-        # Other methods run with the extended budget until they hit the target.
-        for method_key in config.methods:
-            if method_key == reference_method:
-                continue
-            for seed in range(config.num_seeds):
-                if progress is not None:
-                    progress(f"[fig1] {method_key} / {circuit_name} / seed {seed}")
-                evaluator.reset_history(clear_cache=True)
-                optimiser = make_optimiser(
-                    method_key, space=config.space(), seed=seed,
-                    **dict(config.method_overrides.get(method_key, {})),
-                )
-                result = optimiser.optimise(evaluator, budget=extended)
-                count = _evaluations_to_reach(result.best_trajectory, target, extended)
-                evaluations.setdefault(result.method, {}).setdefault(
-                    circuit_name, []
-                ).append(float(count))
+    # Other methods run with the extended budget until they hit the target.
+    others = tuple(m for m in config.methods if m != reference_method)
+    if others:
+        for result in run_experiment(
+                replace(config, methods=others, budget=extended),
+                progress=progress):
+            count = _evaluations_to_reach(result.best_trajectory,
+                                          targets[result.circuit], extended)
+            evaluations.setdefault(result.method, {}).setdefault(
+                result.circuit, []
+            ).append(float(count))
 
     evaluations_mean: Dict[str, Dict[str, float]] = {}
     averages: Dict[str, float] = {}
@@ -164,7 +140,7 @@ def sample_efficiency_study(
 
     return SampleEfficiencyResult(
         target_fraction=target_fraction,
-        reference_method=reference_display or reference_method,
+        reference_method=reference_display,
         extended_budget=extended,
         targets=targets,
         evaluations_to_target=evaluations_mean,

@@ -1,9 +1,12 @@
-"""Tests for the parallel (method × circuit × seed) grid runner."""
+"""Tests for the (method × circuit × seed) experiment grid.
+
+``run_experiment`` runs the grid as a store-less campaign; these pin its
+``jobs`` independence, determinism and persistent-cache behaviour.
+"""
 
 import pytest
 
 from repro.engine import PersistentQoRCache
-from repro.engine.grid import grid_cell_payloads, run_grid
 from repro.experiments import ExperimentConfig, build_qor_table, run_experiment
 
 
@@ -15,23 +18,10 @@ def config():
     )
 
 
-class TestPayloads:
-    def test_cell_ordering_and_indices(self, config):
-        payloads = grid_cell_payloads(config)
-        assert len(payloads) == 4  # 1 circuit × 2 methods × 2 seeds
-        assert [p["index"] for p in payloads] == [0, 1, 2, 3]
-        assert [p["method_key"] for p in payloads] == ["rs", "rs", "ga", "ga"]
-        assert [p["seed"] for p in payloads] == [0, 1, 0, 1]
-
-    def test_width_resolved_in_spec(self, config):
-        payloads = grid_cell_payloads(config)
-        assert all(p["spec"]["width"] == 4 for p in payloads)
-
-
 class TestJobsEquivalence:
     def test_serial_and_parallel_grids_identical(self, config):
-        serial = run_grid(config, jobs=1)
-        parallel = run_grid(config, jobs=2)
+        serial = run_experiment(config, jobs=1)
+        parallel = run_experiment(config, jobs=2)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
             assert (a.method, a.circuit, a.seed) == (b.method, b.circuit, b.seed)
@@ -47,8 +37,8 @@ class TestJobsEquivalence:
         assert {r.method for r in results} == {"RS", "GA"}
 
     def test_rerun_is_deterministic(self, config):
-        first = run_grid(config, jobs=1)
-        second = run_grid(config, jobs=1)
+        first = run_experiment(config, jobs=1)
+        second = run_experiment(config, jobs=1)
         for a, b in zip(first, second):
             assert a.history == b.history
 
@@ -56,22 +46,22 @@ class TestJobsEquivalence:
 class TestPersistentCacheInGrid:
     def test_warm_cache_reproduces_results(self, config, tmp_path):
         cache_dir = str(tmp_path / "qor-cache")
-        cold = run_grid(config, jobs=1, cache_dir=cache_dir)
+        cold = run_experiment(config, jobs=1, cache_dir=cache_dir)
         with PersistentQoRCache(cache_dir) as cache:
             assert len(cache) > 0
-        warm = run_grid(config, jobs=1, cache_dir=cache_dir)
+        warm = run_experiment(config, jobs=1, cache_dir=cache_dir)
         for a, b in zip(cold, warm):
             assert a.history == b.history
             assert a.best_sequence == b.best_sequence
         # And a cache-less run agrees too: caching never changes results.
-        plain = run_grid(config, jobs=1)
+        plain = run_experiment(config, jobs=1)
         for a, b in zip(cold, plain):
             assert a.history == b.history
 
     def test_parallel_workers_share_cache(self, config, tmp_path):
         cache_dir = str(tmp_path / "qor-cache")
-        parallel = run_grid(config, jobs=2, cache_dir=cache_dir)
-        serial = run_grid(config, jobs=1)
+        parallel = run_experiment(config, jobs=2, cache_dir=cache_dir)
+        serial = run_experiment(config, jobs=1)
         for a, b in zip(parallel, serial):
             assert a.history == b.history
 
@@ -79,6 +69,6 @@ class TestPersistentCacheInGrid:
 class TestProgress:
     def test_progress_messages(self, config):
         messages = []
-        run_grid(config, jobs=1, progress=messages.append)
+        run_experiment(config, jobs=1, progress=messages.append)
         assert len(messages) == 4
-        assert messages[0] == "RS / adder / seed 0"
+        assert messages[0] == "rs / adder-w4-lut6-k4 / seed 0 [done]"

@@ -467,20 +467,20 @@ class TestEvaluatorLRU:
             space.sample(1, np.random.default_rng(3))[0]))
         expected = [s.build_evaluator(cache=False).compute(names)
                     for s in specs]
-        worker.init_grid_worker(None, cache_limit=1)
+        worker.init_campaign_worker(None, cache_limit=1)
         try:
             # Two round-robin passes at limit 1: every lookup after the
             # first evicts the previous circuit's evaluator.
-            first = [worker._grid_evaluator(s).compute(names) for s in specs]
-            second = [worker._grid_evaluator(s).compute(names) for s in specs]
+            first = [worker._cell_evaluator(s).compute(names) for s in specs]
+            second = [worker._cell_evaluator(s).compute(names) for s in specs]
             assert first == expected
             assert second == expected
-            assert len(worker._GRID_EVALUATORS) == 1
-            assert worker._GRID_EVALUATORS.evictions >= 4
+            assert len(worker._CELL_EVALUATORS) == 1
+            assert worker._CELL_EVALUATORS.evictions >= 4
         finally:
-            worker._GRID_EVALUATORS.clear()
-            worker._GRID_EVALUATORS.limit = worker.DEFAULT_EVALUATOR_CACHE_LIMIT
-            worker._GRID_EVALUATORS.evictions = 0
+            worker._CELL_EVALUATORS.clear()
+            worker._CELL_EVALUATORS.limit = worker.DEFAULT_EVALUATOR_CACHE_LIMIT
+            worker._CELL_EVALUATORS.evictions = 0
 
     def test_unbounded_when_under_limit(self, space):
         lru = worker._EvaluatorLRU(limit=2)
@@ -496,4 +496,4 @@ class TestEvaluatorLRU:
 
     def test_default_limit_is_bounded(self):
         assert worker.DEFAULT_EVALUATOR_CACHE_LIMIT == 8
-        assert worker._GRID_EVALUATORS.limit == 8
+        assert worker._CELL_EVALUATORS.limit == 8

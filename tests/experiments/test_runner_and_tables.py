@@ -11,7 +11,6 @@ from repro.experiments import (
     build_qor_table,
     make_optimiser,
     run_experiment,
-    run_method_on_circuit,
 )
 from repro.experiments.runner import group_results
 from repro.bo.space import SequenceSpace
@@ -72,7 +71,7 @@ class TestConfig:
 class TestRunner:
     def test_single_cell(self):
         config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
-        result = run_method_on_circuit("rs", "adder", config, seed=0)
+        (result,) = run_experiment(config)
         assert result.method == "RS"
         assert result.circuit == "adder"
         assert result.num_evaluations == config.budget
@@ -84,11 +83,20 @@ class TestRunner:
         grouped = group_results(results)
         assert set(grouped) == {"RS", "Greedy"}
 
+    def test_failed_cell_raises_naming_the_cell(self):
+        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs", "greedy"))
+        config.method_overrides = {"greedy": {"no_such_option": 1}}
+        with pytest.raises(RuntimeError, match=r"__greedy__s0 failed: TypeError"):
+            run_experiment(config)
+
     def test_progress_callback(self):
         config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
         messages = []
         run_experiment(config, progress=messages.append)
-        assert messages and "RS" in messages[0]
+        # One line per finished cell, in the campaign driver's format.
+        assert len(messages) == config.num_seeds
+        assert messages[0].startswith("rs / adder-")
+        assert messages[0].endswith(" / seed 0 [done]")
 
 
 class TestQoRTable:

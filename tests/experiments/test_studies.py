@@ -1,5 +1,7 @@
 """Tests for the sample-efficiency, convergence, Pareto and figure modules."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from repro.experiments import (
     ExperimentConfig,
     build_qor_table,
     pareto_front,
+    pareto_study,
+    run_experiment,
     sample_efficiency_study,
 )
+from repro.experiments import convergence, pareto
 from repro.experiments.convergence import build_convergence_curves, convergence_study
 from repro.experiments.figures import (
     ascii_line_chart,
@@ -83,8 +88,6 @@ class TestParetoStudy:
 
     def test_end_to_end_small_study(self):
         config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
-        from repro.experiments import pareto_study
-
         study = pareto_study(config, circuits=("adder",))
         assert study.circuits == ["adder"]
         assert "RS" in study.methods
@@ -140,6 +143,44 @@ class TestSampleEfficiency:
         assert "adder" in study.targets
         text = study.to_text()
         assert "Sample efficiency" in text
+
+
+class TestStudiesKeepTheObjective:
+    @pytest.mark.parametrize("module, study", [
+        (convergence, convergence.convergence_study),
+        (pareto, pareto.pareto_study),
+    ], ids=["convergence", "pareto"])
+    def test_objective_reaches_the_grid(self, monkeypatch, module, study):
+        seen = []
+
+        def fake_run_experiment(config, progress=None):
+            seen.append(config)
+            return []
+
+        monkeypatch.setattr(module, "run_experiment", fake_run_experiment)
+        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
+        study(replace(config, objective="area"), circuits=("sqrt",))
+        assert [c.objective for c in seen] == ["area"]
+        assert list(seen[0].circuits) == ["sqrt"]
+
+    def test_sample_efficiency_targets_follow_the_objective(self):
+        # max at width 4 is small, yet its eq1 and area targets differ
+        # (adder and sqrt at width 4 tie at 0.0 under both).
+        base = ExperimentConfig(
+            budget=6, num_seeds=1, sequence_length=4, circuit_width=4,
+            circuits=("max",), methods=("boils", "rs"),
+            method_overrides={"boils": {"num_initial": 3,
+                                        "local_search_queries": 20,
+                                        "adam_steps": 2}},
+        )
+        area = replace(base, objective="area")
+        eq1_study = sample_efficiency_study(base, extended_budget=8)
+        area_study = sample_efficiency_study(area, extended_budget=8)
+        (reference,) = run_experiment(replace(area, methods=("boils",)))
+        assert reference.best_improvement > 0
+        assert area_study.targets["max"] == pytest.approx(
+            0.975 * reference.best_improvement)
+        assert area_study.targets != eq1_study.targets
 
 
 class TestFigureRendering:
