@@ -12,6 +12,9 @@ ratios to ``benchmarks/artifacts/BENCH_substrate.json``; CI compares
 that artifact against the committed baseline in
 ``benchmarks/baselines/BENCH_substrate_baseline.json`` and fails on a
 >25 % regression (see ``benchmarks/check_perf_regression.py``).
+
+``test_gp_scaling`` records the GP's cost curve at the paper's scale
+(K = 20, order 3) and bounds how it grows with the training-set size.
 """
 
 from __future__ import annotations
@@ -108,6 +111,44 @@ def test_full_sequence_evaluation_speed(benchmark, adder):
 def test_circuit_generation_speed(benchmark):
     aig = benchmark(get_circuit, "multiplier", 8)
     assert aig.num_ands > 0
+
+
+def test_gp_scaling():
+    """Paper-scale GP curve: K = 20, order 3, n ∈ {50, 200, 500}.
+
+    Times a 5-step hyperparameter fit and a 10-row predict at each
+    training-set size and records them.  The kernel is a feature map, so
+    its Gram costs grow as n·F for Φ plus the n² GEMM; the fit must
+    grow by less than 50× from n = 50 to n = 500 (n² alone would be
+    100×; the per-pair dynamic program it replaced grew ≈ 165×).
+    """
+    rng = np.random.default_rng(0)
+    names = ["theta_match", "theta_gap"]
+    fit_seconds, predict_seconds = {}, {}
+    for n in (50, 200, 500):
+        X = rng.integers(0, 11, size=(n, 20))
+        y = rng.normal(size=n)
+        probe = rng.integers(0, 11, size=(10, 20))
+
+        def fit():
+            gp = GaussianProcess(SubsequenceStringKernel(max_subsequence_length=3))
+            gp.fit_hyperparameters(X, y, num_steps=5, param_names=names)
+            return gp
+
+        fit_seconds[n] = _best_seconds(fit, repeats=3 if n < 500 else 2)
+        gp = fit()
+        predict_seconds[n] = _best_seconds(lambda: gp.predict(probe), repeats=5)
+    ratio = fit_seconds[500] / fit_seconds[50]
+    record_bench_entry("gp_scaling", {
+        "sequence_length": 20,
+        "order": 3,
+        "fit_steps": 5,
+        "predict_rows": 10,
+        "fit_seconds": {str(n): t for n, t in fit_seconds.items()},
+        "predict_seconds": {str(n): t for n, t in predict_seconds.items()},
+        "fit_ratio_500_vs_50": ratio,
+    })
+    assert ratio < 50
 
 
 # ----------------------------------------------------------------------

@@ -5,14 +5,26 @@ improvement and UCB are provided as alternatives (Section III-A2 notes
 "other options are possible") and exercised by the ablation benchmarks.
 All acquisitions are written for *maximisation* of the modelled objective,
 matching the paper's convention of modelling ``-QoR``.
+
+The standard normal CDF and PDF are evaluated directly (``ndtr`` and the
+Gaussian formula, as ``scipy.stats.norm`` computes them), which gives
+the same bits as ``norm.cdf``/``norm.pdf`` without their per-call
+argument handling.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal_pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -34,7 +46,7 @@ def expected_improvement(
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     improvement = mean - best_value - xi
     z = improvement / std
-    return improvement * norm.cdf(z) + std * norm.pdf(z)
+    return improvement * ndtr(z) + std * _normal_pdf(z)
 
 
 def probability_of_improvement(
@@ -44,7 +56,7 @@ def probability_of_improvement(
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     z = (mean - best_value - xi) / std
-    return norm.cdf(z)
+    return ndtr(z)
 
 
 def ucb(mean: np.ndarray, std: np.ndarray, beta: float = 2.0) -> np.ndarray:

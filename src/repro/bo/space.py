@@ -123,9 +123,10 @@ class SequenceSpace:
         positions = rng.choice(self.sequence_length, size=num_changes, replace=False)
         neighbour = sequence.copy()
         for position in positions:
-            current = neighbour[position]
-            choices = [i for i in range(self.num_operations) if i != current]
-            neighbour[position] = rng.choice(choices)
+            # A uniform draw over the other n − 1 operations: the same
+            # draw ``rng.choice`` makes from the list of them.
+            draw = rng.integers(0, self.num_operations - 1)
+            neighbour[position] = draw + (draw >= neighbour[position])
         return neighbour
 
     def random_point_in_hamming_ball(

@@ -46,3 +46,17 @@ def env_fault_plan() -> Optional[str]:
     """
     raw = os.environ.get("REPRO_FAULT_PLAN", "").strip()
     return raw or None
+
+
+def env_blas_threads() -> Optional[str]:
+    """The user's BLAS thread count (``OPENBLAS_NUM_THREADS``, else
+    ``OMP_NUM_THREADS``), or ``None`` when neither is set.
+
+    :func:`repro.gp.blas.pin_blas_threads` leaves BLAS alone when the
+    user has chosen a thread count.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        raw = os.environ.get(name, "").strip()
+        if raw:
+            return raw
+    return None

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 from repro.engine import faults, shm
 from repro.engine.cache import PersistentQoRCache
 from repro.engine.spec import EvaluatorSpec
+from repro.gp.blas import blas_threads
 from repro.qor.backends.native import synth_memo_stats
 from repro.qor.evaluator import QoREvaluator, SequenceEvaluation
 
@@ -98,6 +99,8 @@ def worker_diagnostics() -> Dict[str, object]:
         "cell_evictions": _CELL_EVALUATORS.evictions,
         "shm_attaches": shm.attach_count(),
         "shm_fallbacks": shm.fallback_count(),
+        # Diagnostic only: OpenBLAS threads by library (see repro.gp.blas).
+        "blas_threads": blas_threads(),
         **synth_memo_stats(),
     }
 

@@ -26,9 +26,13 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
+from repro.gp.blas import pin_blas_threads
 from repro.gp.kernels.base import Kernel
 from repro.gp.optim import finite_difference_gradient, ProjectedAdam
 from repro.serialise import decode_array, encode_array
+
+# numpy and scipy are loaded by now; run their OpenBLAS on one thread.
+pin_blas_threads()
 
 
 class GaussianProcess:

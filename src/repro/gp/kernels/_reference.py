@@ -1,10 +1,11 @@
-"""Reference (pre-optimisation) SSK Gram computation, kept for tests.
+"""Reference SSK Gram computation: the original dynamic program, kept for tests.
 
-Preserves the original full-tensor dynamic program exactly as it shipped
-before the match-tensor caching rework of :mod:`repro.gp.kernels.ssk`.
-The golden equivalence suite asserts the optimised Gram is bit-identical
-to this one; the GP-fitting benchmark measures the speedup ratio the CI
-perf gate tracks.  Do not optimise this file.
+Preserves the full-tensor gap-weighted dynamic program exactly as it
+shipped before :mod:`repro.gp.kernels.ssk` was optimised (it is now an
+explicit feature map).  The two sum the same non-negative terms in a different order, so
+the golden equivalence suite asserts they agree to roundoff (relative
+``1e-12``), not bitwise; the GP-fitting benchmark measures the speedup
+ratio the CI perf gate tracks.  Do not optimise this file.
 """
 
 from __future__ import annotations

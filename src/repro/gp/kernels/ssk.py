@@ -15,39 +15,29 @@ inside the matching span), match decay ``θ_m ∈ [0, 1]`` and gap decay
 ``θ_g ∈ [0, 1]`` — exactly the weighting illustrated in the paper's
 Table I.
 
-The kernel matrix is computed with a vectorised dynamic program (the
-standard gap-weighted subsequence DP, batched over all sequence pairs with
-:func:`scipy.signal.lfilter` doing the discounted prefix sums), so fitting
-a GP on a few hundred sequences stays fast in pure Python.
-
-Hot-path structure
-------------------
-The DP factors into a theta-independent part and two cheap theta
-contractions:
-
-* the *match tensor* ``M[a, b, i, j] = [X[a, i] == Y[b, j]]`` depends only
-  on the sequences;
-* for a fixed gap decay ``θ_g`` the per-order plane sums
-  ``T_p[a, b] = Σ_{i,j} M_p[a, b, i, j]`` depend on ``(X, Y, θ_g)`` but
-  not on the match decay;
-* the Gram is then just ``Σ_p θ_m^{2p} · T_p`` — a few scalar-times-matrix
-  accumulations.
-
-:class:`SubsequenceStringKernel` caches both layers per training set, so
-the ``~5·steps`` objective evaluations of a projected-Adam fit rebuild
-nothing for unchanged ``θ_g`` (finite-difference probes of ``θ_m`` are
-almost free) and only rerun the DP for new gap decays.  The symmetric
-train Gram runs the DP on upper-triangle planes only and mirrors the
-result.  The pre-caching implementation is preserved in
-:mod:`repro.gp.kernels._reference` and the equivalence suite pins the two
-against each other.
+Explicit feature map
+--------------------
+The kernel is a finite inner product ``Φ(seq) · Φ(seq')`` (Lodhi et al.,
+JMLR 2002): each position tuple ``i_1 < … < i_p`` (``p ≤ ℓ``) adds
+``θ_m^p · θ_g^gap`` to the feature of the letters it reads.  Which
+features a sequence has, and each tuple's ``(order, gap)`` class, do
+not depend on θ.  So the tuples are enumerated once per length and
+order, their letters are encoded as integer feature codes, and each set
+of sequences gets its vocabulary and scatter indices once.  Per θ, the
+class weights are ``np.bincount``-ed into a dense ``n × F`` Φ, rows are
+normalised (their norms are the cosine normaliser and the diagonal),
+and the Gram is the GEMM ``Φ̂ Φ̂ᵀ``.  A cross Gram builds the
+candidates' Φ over their own vocabulary, for their norms, and multiplies
+the columns the training vocabulary shares.  The dynamic program this
+replaced is frozen in :mod:`repro.gp.kernels._reference`; the two agree
+to roundoff.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +53,7 @@ def subsequence_contribution(
     """Contribution ``c_u(seq)`` computed by direct enumeration.
 
     This is the textbook definition (exponential in ``|u|``); it serves as
-    the ground truth for the DP implementation and reproduces the worked
+    the ground truth for the feature map and reproduces the worked
     examples of the paper's Table I.
     """
     u = list(u)
@@ -89,7 +79,8 @@ def exact_kernel_value(
 ) -> float:
     """Unnormalised kernel value by explicit feature enumeration (slow).
 
-    Only practical for tiny alphabets / orders; used to validate the DP.
+    Only practical for tiny alphabets / orders; used to validate the
+    feature map.
     """
     total = 0.0
     for length in range(1, max_length + 1):
@@ -109,72 +100,142 @@ def _all_subsequences(alphabet: Sequence, length: int):
 
 
 # ----------------------------------------------------------------------
-# Batched dynamic program
+# θ-free structure: position tuples, feature codes, vocabularies
 # ----------------------------------------------------------------------
-def _discounted_cumsum(values: np.ndarray, decay: float, axis: int) -> np.ndarray:
-    """``out[..., t] = Σ_{s ≤ t} decay^(t-s) · values[..., s]`` along ``axis``.
+class _Tuples(NamedTuple):
+    """Position tuples of one sequence length, up to one order."""
 
-    Plain strided recursion ``y[t] = x[t] + decay · y[t-1]``.  This is the
-    same float-operation sequence as ``scipy.signal.lfilter([1], [1, -g])``
-    (direct form II transposed with ``b0 = 1``), so the output is
-    bit-identical to the reference implementation's — but without
-    lfilter's internal axis shuffling it runs ~3× faster on the short
-    sequence lengths this kernel sees.
+    positions: np.ndarray  # (T, top order) positions, left-padded
+    classes: np.ndarray    # (T,) class of each tuple
+    orders: np.ndarray     # (C,) order of each class
+    gaps: np.ndarray       # (C,) gap of each class
+
+
+@lru_cache(maxsize=64)
+def _position_tuples(length: int, max_length: int) -> _Tuples:
+    """Every position tuple of a length-``length`` sequence, order-major,
+    left-padded to the top order with the position ``length``: it reads
+    the digit 0 (see :func:`_digits`), and leading zeros leave a code as is.
     """
-    out = values.copy()
-    view = np.moveaxis(out, axis, 0)
-    for t in range(1, view.shape[0]):
-        view[t] += decay * view[t - 1]
-    return out
+    top = min(max_length, length)
+    blocks = [np.zeros((0, top), dtype=np.intp)]
+    classes = [np.zeros(0, dtype=np.intp)]
+    orders: List[int] = []
+    gaps: List[int] = []
+    for p in range(1, top + 1):
+        index = np.array(list(combinations(range(length), p)),
+                         dtype=np.intp).reshape(-1, p)
+        # Order p has one class per gap 0 … length − p.
+        classes.append(len(orders) + index[:, -1] - index[:, 0] + 1 - p)
+        orders.extend([p] * (length - p + 1))
+        gaps.extend(range(length - p + 1))
+        padding = np.full((index.shape[0], top - p), length, dtype=np.intp)
+        blocks.append(np.hstack([padding, index]))
+    tuples = _Tuples(np.concatenate(blocks), np.concatenate(classes),
+                     np.array(orders, dtype=float), np.array(gaps, dtype=float))
+    for array in tuples:
+        array.flags.writeable = False
+    return tuples
 
 
-def _plane_order_sums(
-    match: np.ndarray, theta_gap: float, max_length: int
-) -> List[np.ndarray]:
-    """Per-order plane sums ``T_p[pair] = Σ_{i,j} M_p[pair, i, j]``.
+def _digits(X: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Letters of ``X`` as digits ``1 … len(symbols)`` (rank in ``symbols``).
 
-    ``match`` is a stack of ``(L, L')`` match planes (one per sequence
-    pair).  The DP is the gap-weighted subsequence recursion; every float
-    operation matches the reference implementation elementwise, so the
-    returned sums are bit-identical to accumulating the reference
-    ``m_p.sum`` terms.  Only ``theta_gap`` enters here — the match decay
-    is applied later as a scalar contraction.
+    Letters missing from the sorted symbol table all become the digit
+    ``len(symbols) + 1``, which no code built from the table contains.
+    A last column of zeros is appended for the tuples' padding.
     """
-    sums: List[np.ndarray] = []
-    prev_d: Optional[np.ndarray] = None
-    for p in range(1, max_length + 1):
-        if p == 1:
-            m_p = match
-        else:
-            assert prev_d is not None
-            m_p = np.zeros_like(match)
-            np.multiply(match[:, 1:, 1:], prev_d[:, :-1, :-1], out=m_p[:, 1:, 1:])
-        sums.append(m_p.sum(axis=(1, 2)))
-        if p < max_length:
-            inner = _discounted_cumsum(m_p, theta_gap, axis=1)
-            prev_d = _discounted_cumsum(inner, theta_gap, axis=2)
-    return sums
+    digits = np.zeros((X.shape[0], X.shape[1] + 1), dtype=np.int64)
+    if symbols.size:
+        rank = np.searchsorted(symbols, X)
+        seen = symbols[np.minimum(rank, symbols.size - 1)] == X
+        digits[:, :-1] = np.where(seen, rank + 1, symbols.size + 1)
+    return digits
 
 
-def _contract_order_sums(sums: Sequence[np.ndarray], theta_match: float) -> np.ndarray:
-    """``Σ_p θ_m^{2p} · T_p`` with the reference accumulation order."""
-    total = np.zeros_like(sums[0])
-    for p, plane_sum in enumerate(sums, start=1):
-        total += (theta_match ** (2 * p)) * plane_sum
-    return total
+def _codes(letters: np.ndarray, base: int) -> np.ndarray:
+    """Base-``base`` numbers of digit tuples laid out along the last axis.
+
+    No letter's digit is zero, so an order-``p`` code lies in
+    ``[base^(p-1), base^p)``: codes of different orders never collide.
+    """
+    top = letters.shape[-1]
+    if base ** top >= 2 ** 63:
+        raise ValueError(f"{base - 2} distinct symbols at order {top} "
+                         "overflow the 64-bit feature code")
+    code = np.zeros(letters.shape[:-1], dtype=np.int64)
+    for j in range(top):
+        code *= base
+        code += letters[..., j]
+    return code
 
 
-def _cross_match_planes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Match planes for every (row of X, row of Y) pair: ``(N·M, L, L')``."""
-    n, len_x = X.shape
-    m, len_y = Y.shape
-    match = (X[:, None, :, None] == Y[None, :, None, :]).astype(float)
-    return match.reshape(n * m, len_x, len_y)
+class _FeatureSet(NamedTuple):
+    """The θ-free structure of one set of sequences."""
+
+    rows: int
+    tuples: _Tuples
+    symbols: np.ndarray   # sorted symbol table the codes are built on
+    vocab: np.ndarray     # (F,) sorted feature codes the set touches
+    reader: np.ndarray    # (F,) flat (row, tuple) index of one tuple per feature
+    scatter: np.ndarray   # (n·T,) flat index of each tuple into the n × F Φ
 
 
-def _diag_match_planes(X: np.ndarray) -> np.ndarray:
-    """Match planes of every row against itself: ``(N, L, L)``."""
-    return (X[:, :, None] == X[:, None, :]).astype(float)
+def _feature_set(X: np.ndarray, max_length: int) -> _FeatureSet:
+    n, length = X.shape
+    tuples = _position_tuples(length, max_length)
+    symbols = np.unique(X)
+    codes = _codes(_digits(X, symbols)[:, tuples.positions], symbols.size + 2)
+    vocab, inverse = np.unique(codes.reshape(-1), return_inverse=True)
+    reader = np.empty(vocab.size, dtype=np.intp)
+    reader[inverse] = np.arange(inverse.size)
+    rows = np.repeat(np.arange(n, dtype=np.int64) * vocab.size, tuples.classes.size)
+    return _FeatureSet(n, tuples, symbols, vocab, reader, rows + inverse)
+
+
+def _cross_gram(train: _FeatureSet, phi_train: np.ndarray,
+                other: _FeatureSet, phi_other: np.ndarray,
+                Y: np.ndarray) -> np.ndarray:
+    """``Φ_train Φ_otherᵀ`` over the features the two sets share.
+
+    Each feature of ``other`` (the rows ``Y``, encoded on their own symbol
+    table) is re-encoded on ``train``'s table from one tuple that reads
+    it, looked up in ``train``'s vocabulary and laid out in its columns.
+    """
+    rows, tuple_index = np.divmod(other.reader, other.tuples.classes.size)
+    letters = _digits(Y, train.symbols)[rows[:, None],
+                                        other.tuples.positions[tuple_index]]
+    codes = _codes(letters, train.symbols.size + 2)
+    columns = np.searchsorted(train.vocab, codes)
+    shared = columns < train.vocab.size
+    shared[shared] = train.vocab[columns[shared]] == codes[shared]
+    aligned = np.zeros((other.rows, train.vocab.size))
+    aligned[:, columns[shared]] = phi_other[:, shared]
+    return phi_train @ aligned.T
+
+
+def _phi(features: _FeatureSet, theta_match: float, theta_gap: float,
+         normalize: bool = False) -> np.ndarray:
+    """Dense ``n × F`` feature matrix at ``(θ_m, θ_g)``.
+
+    With ``normalize`` its rows are scaled to unit norm (in place), so
+    that ``Φ̂ Φ̂ᵀ`` is the cosine-normalised kernel.
+    """
+    tuples, rows = features.tuples, features.rows
+    weights = (theta_match ** tuples.orders) * (theta_gap ** tuples.gaps)
+    width = features.vocab.size
+    phi = np.bincount(features.scatter,
+                      weights=np.tile(weights[tuples.classes], rows),
+                      minlength=rows * width)
+    phi = phi.reshape(rows, width).astype(float, copy=False)  # float if empty
+    if normalize:
+        phi /= np.sqrt(np.maximum(_square_norms(phi), 1e-12))[:, None]
+    return phi
+
+
+def _square_norms(phi: np.ndarray) -> np.ndarray:
+    """Row-wise ``Φ·Φ``: the unnormalised ``k(x, x)``."""
+    return np.einsum("ij,ij->i", phi, phi)
 
 
 def ssk_gram(
@@ -193,17 +254,16 @@ def ssk_gram(
     """
     X = np.atleast_2d(np.asarray(X))
     Y = np.atleast_2d(np.asarray(Y))
-    n = X.shape[0]
-    m = Y.shape[0]
-    sums = _plane_order_sums(_cross_match_planes(X, Y), theta_gap, max_length)
-    return _contract_order_sums(sums, theta_match).reshape(n, m)
+    fx, fy = _feature_set(X, max_length), _feature_set(Y, max_length)
+    return _cross_gram(fx, _phi(fx, theta_match, theta_gap),
+                       fy, _phi(fy, theta_match, theta_gap), Y)
 
 
 def ssk_diag(X: np.ndarray, theta_match: float, theta_gap: float, max_length: int) -> np.ndarray:
-    """Diagonal ``k(x, x)`` values, computed pairwise on matched rows."""
+    """Diagonal ``k(x, x)`` values: the squared row norms of Φ."""
     X = np.atleast_2d(np.asarray(X))
-    sums = _plane_order_sums(_diag_match_planes(X), theta_gap, max_length)
-    return _contract_order_sums(sums, theta_match)
+    return _square_norms(_phi(_feature_set(X, max_length),
+                              theta_match, theta_gap))
 
 
 class SubsequenceStringKernel(Kernel):
@@ -225,20 +285,11 @@ class SubsequenceStringKernel(Kernel):
 
     Notes
     -----
-    Symmetric Gram computations cache the theta-independent match tensor
-    per input set and the per-order plane sums per gap decay (see the
-    module docstring), so repeated evaluations during hyperparameter
-    fitting only pay for genuinely new ``θ_g`` values.  The symmetric
-    Gram is computed on upper-triangle pairs and mirrored: entries on and
-    above the diagonal are bit-identical to the reference implementation,
-    and the mirrored lower triangle repairs the reference's ulp-level
-    asymmetry (it summed each transposed plane in a different order).
+    The θ-free structure of the last first argument (the training set)
+    is kept with its Φ at the last θ, so the evaluations of a
+    hyperparameter fit redo only the weights and the GEMM, and a
+    prediction builds only the candidates' side.
     """
-
-    #: Bound on cached ``(X, Y)`` match-tensor states (LRU).
-    MAX_MATCH_STATES = 4
-    #: Bound on cached per-``θ_g`` order-sum lists per state (FIFO).
-    MAX_GAP_SUMS = 160
 
     def __init__(
         self,
@@ -258,67 +309,27 @@ class SubsequenceStringKernel(Kernel):
         self.register_param("theta_match", theta_match, (1e-3, 1.0))
         self.register_param("theta_gap", theta_gap, (1e-3, 1.0))
         self.register_param("variance", variance, (1e-6, 1e3))
-        # key -> {"match": planes, "sums": OrderedDict theta_gap -> [T_p]}
-        # ("sym" states additionally carry the triangle indices).
-        self._match_states: "OrderedDict[tuple, dict]" = OrderedDict()
+        # The last first argument (the training set): its data key and
+        # structure, and the θ key and Φ of the last evaluation.
+        self._train: Optional[Tuple[tuple, _FeatureSet, tuple, np.ndarray]] = None
 
     # ------------------------------------------------------------------
-    # Match-tensor cache
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _data_key(X: np.ndarray) -> Tuple:
-        return (X.shape, X.dtype.str, X.tobytes())
-
-    def clear_cache(self) -> None:
-        """Drop all cached match tensors and order sums."""
-        self._match_states.clear()
-
-    def _state(self, kind: str, X: np.ndarray) -> dict:
-        """Cached theta-independent state for a symmetric or diag workload."""
-        key = (kind, self._data_key(X))
-        state = self._match_states.get(key)
-        if state is None:
-            if kind == "sym":
-                n = X.shape[0]
-                iu, ju = np.triu_indices(n)
-                match = (X[iu][:, :, None] == X[ju][:, None, :]).astype(float)
-                state = {"match": match, "iu": iu, "ju": ju, "n": n,
-                         "sums": OrderedDict()}
-            else:
-                state = {"match": _diag_match_planes(X), "sums": OrderedDict()}
-            self._match_states[key] = state
-            while len(self._match_states) > self.MAX_MATCH_STATES:
-                self._match_states.popitem(last=False)
+    def _train_phi(self, X: np.ndarray) -> Tuple[_FeatureSet, np.ndarray]:
+        """Structure and Φ (row-normalised if cosine) of a training set."""
+        key, theta = (X.shape, X.dtype.str, X.tobytes()), self._phi_args()
+        if self._train is not None and self._train[0] == key:
+            _, features, cached_theta, phi = self._train
+            if cached_theta == theta:
+                return features, phi
         else:
-            self._match_states.move_to_end(key)
-        return state
+            features = _feature_set(X, self.max_subsequence_length)
+        phi = _phi(features, *theta)
+        self._train = (key, features, theta, phi)
+        return features, phi
 
-    def _order_sums(self, state: dict, theta_gap: float) -> List[np.ndarray]:
-        sums = state["sums"].get(theta_gap)
-        if sums is None:
-            sums = _plane_order_sums(state["match"], theta_gap,
-                                     self.max_subsequence_length)
-            state["sums"][theta_gap] = sums
-            while len(state["sums"]) > self.MAX_GAP_SUMS:
-                state["sums"].popitem(last=False)
-        return sums
-
-    def _sym_gram_and_diag(
-        self, X: np.ndarray, theta_m: float, theta_g: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetric unnormalised Gram plus its diagonal, from the cache."""
-        state = self._state("sym", X)
-        values = _contract_order_sums(self._order_sums(state, theta_g), theta_m)
-        n = state["n"]
-        iu, ju = state["iu"], state["ju"]
-        gram = np.zeros((n, n), dtype=float)
-        gram[iu, ju] = values
-        gram[ju, iu] = values
-        return gram, values[iu == ju]
-
-    def _diag_values(self, X: np.ndarray, theta_m: float, theta_g: float) -> np.ndarray:
-        state = self._state("diag", X)
-        return _contract_order_sums(self._order_sums(state, theta_g), theta_m)
+    def _phi_args(self) -> Tuple[float, float, bool]:
+        return (self._params["theta_match"], self._params["theta_gap"],
+                self.normalize)
 
     # ------------------------------------------------------------------
     def contribution(self, u: Sequence, seq: Sequence) -> float:
@@ -329,30 +340,18 @@ class SubsequenceStringKernel(Kernel):
 
     def __call__(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X))
-        symmetric = Y is None
-        theta_m = self._params["theta_match"]
-        theta_g = self._params["theta_gap"]
-        if symmetric:
-            gram, diag_x = self._sym_gram_and_diag(X, theta_m, theta_g)
-            diag_y = diag_x
+        train, phi_x = self._train_phi(X)
+        if Y is None:
+            gram = phi_x @ phi_x.T
         else:
             Y = np.atleast_2d(np.asarray(Y))
-            # Candidate batches change on every prediction call, so the
-            # cross Gram is computed transiently (no cache); the training
-            # side's diagonal still comes from the cache below.
-            gram = ssk_gram(X, Y, theta_m, theta_g, self.max_subsequence_length)
-        if self.normalize:
-            if not symmetric:
-                diag_x = self._diag_values(X, theta_m, theta_g)
-                diag_y = self._diag_values(Y, theta_m, theta_g)
-            denom = np.sqrt(np.outer(np.maximum(diag_x, 1e-12), np.maximum(diag_y, 1e-12)))
-            gram = gram / denom
+            other = _feature_set(Y, self.max_subsequence_length)
+            gram = _cross_gram(train, phi_x, other, _phi(other, *self._phi_args()), Y)
         return self._params["variance"] * gram
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X))
         if self.normalize:
             return np.full(X.shape[0], self._params["variance"])
-        theta_m = self._params["theta_match"]
-        theta_g = self._params["theta_gap"]
-        return self._params["variance"] * self._diag_values(X, theta_m, theta_g)
+        return self._params["variance"] * _square_norms(
+            _phi(_feature_set(X, self.max_subsequence_length), *self._phi_args()))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.bo.acquisition import (
     expected_improvement,
@@ -114,3 +115,67 @@ class TestAcquisitions:
         assert get_acquisition("ucb") is ucb
         with pytest.raises(KeyError):
             get_acquisition("entropy-search")
+
+
+# ----------------------------------------------------------------------
+# The hot paths against frozen copies of their previous implementations
+# ----------------------------------------------------------------------
+def _frozen_random_neighbour(space, sequence, rng, num_changes=1):
+    sequence = np.asarray(sequence, dtype=int)
+    num_changes = min(num_changes, space.sequence_length)
+    positions = rng.choice(space.sequence_length, size=num_changes, replace=False)
+    neighbour = sequence.copy()
+    for position in positions:
+        current = neighbour[position]
+        choices = [i for i in range(space.num_operations) if i != current]
+        neighbour[position] = rng.choice(choices)
+    return neighbour
+
+
+def _frozen_expected_improvement(mean, std, best_value, xi=0.0):
+    mean = np.asarray(mean, dtype=float)
+    std = np.maximum(np.asarray(std, dtype=float), 1e-12)
+    improvement = mean - best_value - xi
+    z = improvement / std
+    return improvement * norm.cdf(z) + std * norm.pdf(z)
+
+
+def _frozen_probability_of_improvement(mean, std, best_value, xi=0.0):
+    mean = np.asarray(mean, dtype=float)
+    std = np.maximum(np.asarray(std, dtype=float), 1e-12)
+    return norm.cdf((mean - best_value - xi) / std)
+
+
+class TestFrozenEquivalence:
+    @pytest.mark.parametrize("alphabet_size", [2, 3, 11])
+    def test_random_neighbour_same_draws_and_stream(self, alphabet_size):
+        alphabet = [f"op{i}" for i in range(alphabet_size)]
+        for length in range(1, 21):
+            space = SequenceSpace(sequence_length=length, alphabet=alphabet)
+            ours, frozen = np.random.default_rng(length), np.random.default_rng(length)
+            base = space.sample(1, ours)[0]
+            assert np.array_equal(base, space.sample(1, frozen)[0])
+            for changes in (1, 2, 5, 30):
+                for _ in range(5):
+                    neighbour = space.random_neighbour(base, ours, num_changes=changes)
+                    expected = _frozen_random_neighbour(space, base, frozen, changes)
+                    assert np.array_equal(neighbour, expected)
+                    base = neighbour
+            # Both generators consumed exactly the same stream.
+            assert ours.integers(2 ** 62) == frozen.integers(2 ** 62)
+
+    def test_acquisitions_bitwise_equal(self, rng):
+        mean = np.concatenate([rng.normal(scale=3.0, size=200),
+                               [0.0, 1e300, -1e300, np.inf, -np.inf, 40.0, -40.0]])
+        std = np.concatenate([np.abs(rng.normal(size=200)),
+                              [0.0, 1.0, 1.0, 1.0, 1.0, 1e-12, 1e-12]])
+        for best, xi in ((0.0, 0.0), (0.7, 0.01), (-2.0, 0.5)):
+            with np.errstate(all="ignore"):
+                pairs = [
+                    (expected_improvement(mean, std, best, xi),
+                     _frozen_expected_improvement(mean, std, best, xi)),
+                    (probability_of_improvement(mean, std, best, xi),
+                     _frozen_probability_of_improvement(mean, std, best, xi)),
+                ]
+            for ours, frozen in pairs:
+                assert np.array_equal(ours, frozen, equal_nan=True)

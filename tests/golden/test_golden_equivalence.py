@@ -12,8 +12,9 @@ Two layers of protection:
   run side by side with the frozen reference copies
   (:mod:`repro.aig._reference`, :mod:`repro.mapping._reference`,
   :mod:`repro.gp.kernels._reference`) in the same environment, which
-  checks bit-identity of float paths without baking BLAS-specific bits
-  into the repository.
+  checks float paths without baking BLAS-specific bits into the
+  repository: bitwise for cuts and mapping, to roundoff for the SSK
+  feature map (it sums the DP's terms in another order).
 """
 
 from __future__ import annotations
@@ -170,10 +171,16 @@ class TestMapperEquivalence:
 
 
 # ----------------------------------------------------------------------
-# SSK match-tensor caching vs the frozen reference DP
+# SSK feature map vs the frozen reference DP
 # ----------------------------------------------------------------------
+#: The feature map sums the same non-negative terms as the DP in another
+#: order, so values agree to roundoff, not bitwise (measured ≈ 1e-14
+#: relative at worst).
+SSK_RTOL = 1e-12
+
+
 class TestSskEquivalence:
-    def test_gram_and_diag_bit_identical(self, rng):
+    def test_gram_and_diag_match_reference(self, rng):
         for _ in range(6):
             n = int(rng.integers(2, 20))
             m = int(rng.integers(2, 20))
@@ -183,17 +190,18 @@ class TestSskEquivalence:
             theta_m = float(rng.uniform(0.1, 1.0))
             theta_g = float(rng.uniform(0.1, 1.0))
             for ell in (1, 2, 3):
-                assert np.array_equal(
+                np.testing.assert_allclose(
                     ssk_gram(X, Y, theta_m, theta_g, ell),
-                    ssk_gram_reference(X, Y, theta_m, theta_g, ell))
-                assert np.array_equal(
+                    ssk_gram_reference(X, Y, theta_m, theta_g, ell),
+                    rtol=SSK_RTOL, atol=0)
+                np.testing.assert_allclose(
                     ssk_diag(X, theta_m, theta_g, ell),
-                    ssk_diag_reference(X, theta_m, theta_g, ell))
+                    ssk_diag_reference(X, theta_m, theta_g, ell),
+                    rtol=SSK_RTOL, atol=0)
 
-    def test_symmetric_kernel_upper_triangle_bit_identical(self, rng):
-        """The cached symmetric Gram equals the reference on the upper
-        triangle and diagonal bitwise, and repairs the reference's
-        ulp-level asymmetry on the mirrored lower triangle."""
+    def test_symmetric_kernel_matches_reference(self, rng):
+        """The symmetric Gram is exactly symmetric and matches the
+        reference to roundoff; so does the cross (prediction-path) Gram."""
         for _ in range(6):
             n = int(rng.integers(3, 18))
             length = int(rng.integers(4, 15))
@@ -201,14 +209,11 @@ class TestSskEquivalence:
             kernel = SubsequenceStringKernel(theta_match=0.7, theta_gap=0.6)
             reference = ReferenceSubsequenceStringKernel(theta_match=0.7, theta_gap=0.6)
             gram = kernel(X)
-            expected = reference(X)
-            upper = np.triu_indices(n)
-            assert np.array_equal(gram[upper], expected[upper])
             assert np.array_equal(gram, gram.T)
-            assert np.allclose(gram, expected, rtol=1e-12, atol=1e-15)
-            # Cross (prediction-path) Grams are fully bit-identical.
+            np.testing.assert_allclose(gram, reference(X), rtol=SSK_RTOL, atol=0)
             Y = rng.integers(0, 11, size=(5, length))
-            assert np.array_equal(kernel(X, Y), reference(X, Y))
+            np.testing.assert_allclose(kernel(X, Y), reference(X, Y),
+                                       rtol=SSK_RTOL, atol=0)
 
     def test_cached_evaluations_are_stable(self, rng):
         X = rng.integers(0, 11, size=(10, 8))
@@ -216,11 +221,10 @@ class TestSskEquivalence:
         first = kernel(X)
         for _ in range(3):  # cache hits must return the same matrix
             assert np.array_equal(kernel(X), first)
-        kernel.set_params(theta_match=0.31)  # theta_match-only change: cached sums
+        kernel.set_params(theta_match=0.31)  # new θ on the cached structure
         second = kernel(X)
         reference = ReferenceSubsequenceStringKernel(theta_match=0.31, theta_gap=0.8)
-        assert np.array_equal(second[np.triu_indices(10)],
-                              reference(X)[np.triu_indices(10)])
+        np.testing.assert_allclose(second, reference(X), rtol=SSK_RTOL, atol=0)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.gp.kernels._reference import (
+    ReferenceSubsequenceStringKernel,
+    ssk_diag_reference,
+    ssk_gram_reference,
+)
 from repro.gp.kernels.ssk import (
     SubsequenceStringKernel,
     exact_kernel_value,
@@ -133,3 +138,136 @@ class TestKernelProperties:
         params = kernel.get_params()
         assert params["theta_match"] <= 1.0
         assert params["theta_gap"] >= 1e-3
+
+
+# ----------------------------------------------------------------------
+# The feature map against its two oracles: brute-force enumeration and
+# the frozen dynamic program
+# ----------------------------------------------------------------------
+#: The feature map sums the same non-negative terms as the oracles in
+#: another order: values agree to roundoff, not bitwise.
+RTOL = 1e-12
+
+
+def _brute_gram(X, Y, theta_m, theta_g, max_length, alphabet):
+    return np.array([[exact_kernel_value(x, y, theta_m, theta_g, max_length, alphabet)
+                      for y in Y] for x in X])
+
+
+class TestFeatureMapOracles:
+    @pytest.mark.parametrize("alphabet", [[0, 1], [-1, 0, 1]])
+    @pytest.mark.parametrize("max_length", [1, 2, 3, 4])
+    def test_brute_force_tiny_alphabets(self, alphabet, max_length, rng):
+        for length in (1, 3, 6):  # includes order > length
+            X = rng.choice(alphabet, size=(3, length))
+            Y = rng.choice(alphabet, size=(2, length + 1))
+            for theta_m, theta_g in ((0.7, 0.4), (1e-3, 1.0), (1.0, 1e-3)):
+                expected = _brute_gram(X, Y, theta_m, theta_g, max_length, alphabet)
+                np.testing.assert_allclose(
+                    ssk_gram(X, Y, theta_m, theta_g, max_length), expected,
+                    rtol=RTOL, atol=0)
+                kernel = SubsequenceStringKernel(max_length, theta_m, theta_g,
+                                                 normalize=False)
+                np.testing.assert_allclose(kernel(X, Y), expected, rtol=RTOL, atol=0)
+                np.testing.assert_allclose(
+                    kernel(X), _brute_gram(X, X, theta_m, theta_g, max_length, alphabet),
+                    rtol=RTOL, atol=0)
+
+    def test_fuzz_against_reference(self, rng):
+        for length in range(1, 21):
+            for max_length in (1, 2, 3, 4):
+                n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+                size = int(rng.choice([2, 3, 11]))
+                X = rng.integers(0, size, size=(n, length))
+                Y = rng.integers(-1, size, size=(m, length))
+                theta_m = float(rng.uniform(1e-3, 1.0))
+                theta_g = float(rng.uniform(1e-3, 1.0))
+                context = (length, max_length, theta_m, theta_g)
+                np.testing.assert_allclose(
+                    ssk_gram(X, Y, theta_m, theta_g, max_length),
+                    ssk_gram_reference(X, Y, theta_m, theta_g, max_length),
+                    rtol=RTOL, atol=0, err_msg=str(context))
+                np.testing.assert_allclose(
+                    ssk_diag(Y, theta_m, theta_g, max_length),
+                    ssk_diag_reference(Y, theta_m, theta_g, max_length),
+                    rtol=RTOL, atol=0, err_msg=str(context))
+                for normalize in (True, False):
+                    kernel = SubsequenceStringKernel(max_length, theta_m, theta_g,
+                                                     normalize=normalize)
+                    reference = ReferenceSubsequenceStringKernel(
+                        max_length, theta_m, theta_g, normalize=normalize)
+                    gram = kernel(X)
+                    assert np.array_equal(gram, gram.T)
+                    np.testing.assert_allclose(gram, reference(X), rtol=RTOL,
+                                               atol=0, err_msg=str(context))
+                    np.testing.assert_allclose(kernel(X, Y), reference(X, Y),
+                                               rtol=RTOL, atol=0, err_msg=str(context))
+                    np.testing.assert_allclose(kernel.diag(Y), reference.diag(Y),
+                                               rtol=RTOL, atol=0, err_msg=str(context))
+
+    @pytest.mark.parametrize("theta_m", [1e-3, 1.0])
+    @pytest.mark.parametrize("theta_g", [1e-3, 1.0])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_theta_at_bounds(self, theta_m, theta_g, normalize, rng):
+        X = rng.integers(0, 11, size=(8, 20))
+        Y = rng.integers(0, 11, size=(4, 20))
+        kernel = SubsequenceStringKernel(3, theta_m, theta_g, normalize=normalize)
+        reference = ReferenceSubsequenceStringKernel(3, theta_m, theta_g,
+                                                     normalize=normalize)
+        np.testing.assert_allclose(kernel(X), reference(X), rtol=RTOL, atol=0)
+        np.testing.assert_allclose(kernel(X, Y), reference(X, Y), rtol=RTOL, atol=0)
+
+    def test_candidates_with_unseen_symbols(self):
+        X = np.array([[0, 1, 0, 1], [1, 1, 0, 0]])
+        Y = np.array([[0, 5, 1, -1], [7, 8, 9, 7], [0, 1, 0, 1]])
+        for normalize in (True, False):
+            kernel = SubsequenceStringKernel(3, 0.6, 0.5, normalize=normalize)
+            reference = ReferenceSubsequenceStringKernel(3, 0.6, 0.5,
+                                                         normalize=normalize)
+            gram = kernel(X, Y)
+            np.testing.assert_allclose(gram, reference(X, Y), rtol=RTOL, atol=0)
+            assert np.all(gram[:, 1] == 0.0)  # shares no symbol with X
+        assert SubsequenceStringKernel()(X, Y)[0, 2] == pytest.approx(1.0)
+
+    def test_duplicate_and_single_rows(self, rng):
+        row = rng.integers(0, 11, size=(1, 12))
+        X = np.vstack([row, row, rng.integers(0, 11, size=(1, 12)), row])
+        kernel = SubsequenceStringKernel()
+        reference = ReferenceSubsequenceStringKernel()
+        gram = kernel(X)
+        np.testing.assert_allclose(gram, reference(X), rtol=RTOL, atol=0)
+        assert np.array_equal(gram[0], gram[1]) and np.array_equal(gram[0], gram[3])
+        for A, B in ((row, row), (row, X), (X, row)):
+            np.testing.assert_allclose(kernel(A, B), reference(A, B), rtol=RTOL, atol=0)
+        np.testing.assert_allclose(kernel(row), reference(row), rtol=RTOL, atol=0)
+
+    def test_orders_never_collide(self):
+        """``(0)`` and ``(0, 0)``, or ``(-1)`` and ``(-1, -1)``, are one
+        number under a naive letter code (Σ s_j·B^j, or with ``s + 1``
+        digits); the map must keep them apart."""
+        alphabet = [-1, 0]
+        X = np.array([[0, 0, -1], [-1, -1, 0], [0, -1, -1]])
+        Y = np.array([[0, -1, 0], [-1, -1, -1], [0, 0, 0]])
+        for max_length in (1, 2, 3):
+            np.testing.assert_allclose(
+                ssk_gram(X, Y, 0.9, 0.3, max_length),
+                _brute_gram(X, Y, 0.9, 0.3, max_length, alphabet), rtol=RTOL, atol=0)
+            np.testing.assert_allclose(
+                ssk_diag(Y, 0.9, 0.3, max_length),
+                np.diag(_brute_gram(Y, Y, 0.9, 0.3, max_length, alphabet)),
+                rtol=RTOL, atol=0)
+
+    def test_structure_follows_the_training_set(self, rng):
+        kernel = SubsequenceStringKernel()
+        Y = rng.integers(0, 11, size=(3, 10))
+        for _ in range(3):
+            X = rng.integers(0, 11, size=(6, 10))
+            kernel.set_params(theta_match=float(rng.uniform(0.1, 1.0)))
+            fresh = SubsequenceStringKernel(theta_match=kernel.get_params()["theta_match"])
+            assert np.array_equal(kernel(X), fresh(X))
+            assert np.array_equal(kernel(X, Y), fresh(X, Y))
+
+    def test_feature_code_overflow_is_reported(self):
+        X = np.arange(240_000).reshape(60_000, 4)
+        with pytest.raises(ValueError, match="overflow"):
+            ssk_diag(X, 0.5, 0.5, 4)
