@@ -19,15 +19,22 @@ def table_mask(num_vars: int) -> int:
     return (1 << (1 << num_vars)) - 1
 
 
-@lru_cache(maxsize=32)
+#: The largest input count the module supports.
+MAX_VARS = 16
+
+
+@lru_cache(maxsize=MAX_VARS * (MAX_VARS + 1) // 2)  # every (index, num_vars) key
 def var_table(index: int, num_vars: int) -> int:
     """Truth table of projection variable ``x_index`` over ``num_vars`` inputs."""
     if index >= num_vars:
         raise ValueError(f"variable {index} out of range for {num_vars} inputs")
-    bits = 0
-    for minterm in range(1 << num_vars):
-        if (minterm >> index) & 1:
-            bits |= 1 << minterm
+    # 2**index zeros then 2**index ones, repeated over 2**num_vars minterms.
+    width = 1 << index
+    bits = ((1 << width) - 1) << width
+    width *= 2
+    while width < 1 << num_vars:
+        bits |= bits << width
+        width *= 2
     return bits
 
 

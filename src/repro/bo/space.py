@@ -120,7 +120,12 @@ class SequenceSpace:
         """A sequence at Hamming distance exactly ``num_changes``."""
         sequence = np.asarray(sequence, dtype=int)
         num_changes = min(num_changes, self.sequence_length)
-        positions = rng.choice(self.sequence_length, size=num_changes, replace=False)
+        if num_changes == 1:
+            # Draws what ``rng.choice(K, size=1, replace=False)`` draws,
+            # from the same stream, several times faster.
+            positions = (rng.integers(0, self.sequence_length),)
+        else:
+            positions = rng.choice(self.sequence_length, size=num_changes, replace=False)
         neighbour = sequence.copy()
         for position in positions:
             # A uniform draw over the other n − 1 operations: the same
@@ -128,6 +133,22 @@ class SequenceSpace:
             draw = rng.integers(0, self.num_operations - 1)
             neighbour[position] = draw + (draw >= neighbour[position])
         return neighbour
+
+    def random_moves(self, num_moves: int, rng: np.random.Generator
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+        """The draws of ``num_moves`` successive single-change neighbours.
+
+        Returns ``(positions, draws)``: ``num_moves`` successive calls of
+        :meth:`random_neighbour` consume exactly this stream, in the same
+        order, and move ``positions[i]`` of their current sequence ``s``
+        to ``draws[i] + (draws[i] >= s[positions[i]])``.  One broadcast
+        ``rng.integers`` call makes all ``2 · num_moves`` draws.
+        """
+        highs = np.empty((num_moves, 2), dtype=np.int64)
+        highs[:, 0] = self.sequence_length
+        highs[:, 1] = self.num_operations - 1
+        draws = rng.integers(0, highs)
+        return draws[:, 0], draws[:, 1]
 
     def random_point_in_hamming_ball(
         self, centre: np.ndarray, radius: int, rng: np.random.Generator

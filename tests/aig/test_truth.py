@@ -21,6 +21,25 @@ class TestBasics:
         with pytest.raises(ValueError):
             truth.var_table(3, 2)
 
+    def test_var_table_matches_minterm_definition(self):
+        for num_vars in range(1, 11):
+            for index in range(num_vars):
+                expected = sum(1 << minterm for minterm in range(1 << num_vars)
+                               if (minterm >> index) & 1)
+                assert truth.var_table(index, num_vars) == expected
+
+    def test_var_table_cache_never_evicts(self):
+        # Cut and SOP passes ask for many (index, num_vars) keys; a cache
+        # smaller than the key set thrashes and rebuilds tables.
+        keys = [(index, num_vars) for num_vars in range(1, truth.MAX_VARS + 1)
+                for index in range(num_vars)]
+        truth.var_table.cache_clear()
+        for _ in range(2):
+            for key in keys:
+                truth.var_table(*key)
+        info = truth.var_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (len(keys), len(keys), len(keys))
+
     def test_const_table(self):
         assert truth.const_table(True, 2) == 0xF
         assert truth.const_table(False, 2) == 0

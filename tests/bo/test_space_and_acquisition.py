@@ -164,6 +164,36 @@ class TestFrozenEquivalence:
             # Both generators consumed exactly the same stream.
             assert ours.integers(2 ** 62) == frozen.integers(2 ** 62)
 
+    def test_integers_draws_what_choice_of_one_draws(self):
+        # ``random_neighbour`` and ``random_moves`` draw a single position
+        # with ``rng.integers(0, K)`` in place of
+        # ``rng.choice(K, size=1, replace=False)``; this pins that numpy
+        # gives both the same values from the same stream.
+        for length in range(1, 40):
+            ours, frozen = np.random.default_rng(length), np.random.default_rng(length)
+            for _ in range(200):
+                assert ours.integers(0, length) == frozen.choice(
+                    length, size=1, replace=False)[0]
+            assert ours.bit_generator.state == frozen.bit_generator.state
+
+    @pytest.mark.parametrize("alphabet_size", [2, 3, 11])
+    def test_random_moves_are_successive_neighbours(self, alphabet_size):
+        alphabet = [f"op{i}" for i in range(alphabet_size)]
+        for length in (1, 2, 3, 10, 20, 39):
+            space = SequenceSpace(sequence_length=length, alphabet=alphabet)
+            for num_moves in (0, 1, 9, 65, 200):
+                ours, frozen = np.random.default_rng(length), np.random.default_rng(length)
+                current = expected = space.sample(1, ours)[0]
+                space.sample(1, frozen)
+                positions, draws = space.random_moves(num_moves, ours)
+                assert positions.shape == draws.shape == (num_moves,)
+                for position, draw in zip(positions, draws):
+                    current = current.copy()
+                    current[position] = draw + (draw >= current[position])
+                    expected = _frozen_random_neighbour(space, expected, frozen)
+                    assert np.array_equal(current, expected)
+                assert ours.bit_generator.state == frozen.bit_generator.state
+
     def test_acquisitions_bitwise_equal(self, rng):
         mean = np.concatenate([rng.normal(scale=3.0, size=200),
                                [0.0, 1e300, -1e300, np.inf, -np.inf, 40.0, -40.0]])
