@@ -120,12 +120,7 @@ class SequenceSpace:
         """A sequence at Hamming distance exactly ``num_changes``."""
         sequence = np.asarray(sequence, dtype=int)
         num_changes = min(num_changes, self.sequence_length)
-        if num_changes == 1:
-            # Draws what ``rng.choice(K, size=1, replace=False)`` draws,
-            # from the same stream, several times faster.
-            positions = (rng.integers(0, self.sequence_length),)
-        else:
-            positions = rng.choice(self.sequence_length, size=num_changes, replace=False)
+        positions = rng.choice(self.sequence_length, size=num_changes, replace=False)
         neighbour = sequence.copy()
         for position in positions:
             # A uniform draw over the other n − 1 operations: the same

@@ -26,12 +26,15 @@ three phases:
    distance to the centre is tracked as ±1 per move), score them all in
    one call, and let each restart move to its best neighbour if that is
    strictly better.
-3. **Select.**  Replay the per-restart histories in restart order with the
-   sequential walk's rule: after each step that scored neighbours, the
-   restart's current point becomes the answer if it beats the best score
-   so far and is not excluded; a restart that leaves no answer offers its
-   final point; if every point was excluded, a fallback point is drawn
-   last, after all other draws.
+3. **Select.**  Apply the sequential walk's best-tracking in restart
+   order.  That walk records a restart's current point after each step
+   that scored neighbours if it strictly beats the best score so far and
+   is not excluded.  A restart's scores never fall, so its last record is
+   its first non-excluded point, after such a step, to reach its highest
+   non-excluded score; the walk tracks that point per restart, and select
+   takes it if it beats the earlier restarts' best.  A restart that leaves
+   no answer offers its final point; if every point was excluded, a
+   fallback point is drawn last, after all other draws.
 
 With a row-wise acquisition the answer, its score and the generator state
 afterwards equal those of the sequential walk, while the number of
@@ -193,9 +196,10 @@ class TrustRegionLocalSearch:
         current_score = np.asarray(acquisition(current), dtype=float)
         distance = np.count_nonzero(current != centre, axis=1)
         restarts = np.arange(num_restarts)[:, None]
-        scored = np.zeros((num_steps, num_restarts), dtype=bool)
-        history = np.empty((num_steps,) + current.shape, dtype=int)
-        history_score = np.empty((num_steps, num_restarts))
+        # Each restart's answer: its first point, after a step that scored
+        # neighbours, to reach its highest score among points not excluded.
+        restart_best = np.empty_like(current)
+        restart_best_score = np.full(num_restarts, -np.inf)
         for step in range(num_steps):
             batch = slice(step * _NEIGHBOURS_PER_STEP, (step + 1) * _NEIGHBOURS_PER_STEP)
             position, draw = positions[:, batch], draws[:, batch]
@@ -206,33 +210,34 @@ class TrustRegionLocalSearch:
             on_centre = centre[position]
             delta = np.where(old == on_centre, 1, -(new == on_centre).astype(int))
             owner, column = np.nonzero(distance[:, None] + delta <= radius)
-            if owner.size:
-                neighbours = current[owner]
-                neighbours[np.arange(owner.size), position[owner, column]] = new[owner, column]
-                scores = np.asarray(acquisition(neighbours), dtype=float)
-                counts = np.bincount(owner, minlength=num_restarts)
-                scored[step] = counts > 0
-                stops = np.cumsum(counts)
-                for restart in np.flatnonzero(counts).tolist():
-                    first = stops[restart] - counts[restart]
-                    best = first + int(np.argmax(scores[first:stops[restart]]))
-                    if scores[best] > current_score[restart]:
-                        current[restart] = neighbours[best]
-                        current_score[restart] = scores[best]
-                        distance[restart] += delta[restart, column[best]]
-            history[step] = current
-            history_score[step] = current_score
+            if not owner.size:
+                continue
+            neighbours = current[owner]
+            neighbours[np.arange(owner.size), position[owner, column]] = new[owner, column]
+            scores = np.asarray(acquisition(neighbours), dtype=float)
+            counts = np.bincount(owner, minlength=num_restarts)
+            stops = np.cumsum(counts)
+            for restart in np.flatnonzero(counts).tolist():
+                first = stops[restart] - counts[restart]
+                best = first + int(np.argmax(scores[first:stops[restart]]))
+                if scores[best] > current_score[restart]:
+                    current[restart] = neighbours[best]
+                    current_score[restart] = scores[best]
+                    distance[restart] += delta[restart, column[best]]
+                if (current_score[restart] > restart_best_score[restart]
+                        and tuple(current[restart].tolist()) not in exclude):
+                    restart_best[restart] = current[restart]
+                    restart_best_score[restart] = current_score[restart]
 
-        # Select: the sequential walk's best-tracking, replayed in its order.
+        # Select: the sequential walk's best-tracking, in restart order.
+        # A restart's scores never fall, so the walk's last record in it
+        # is that restart's answer, kept only if it beats earlier ones.
         best_candidate: Optional[np.ndarray] = None
         best_score = -np.inf
         for restart in range(num_restarts):
-            for step in np.flatnonzero(scored[:, restart]).tolist():
-                score = float(history_score[step, restart])
-                candidate = history[step, restart]
-                if score > best_score and tuple(candidate.tolist()) not in exclude:
-                    best_candidate = candidate.copy()
-                    best_score = score
+            if restart_best_score[restart] > best_score:
+                best_candidate = restart_best[restart].copy()
+                best_score = float(restart_best_score[restart])
             if best_candidate is None and tuple(current[restart].tolist()) not in exclude:
                 best_candidate = current[restart].copy()
                 best_score = float(current_score[restart])

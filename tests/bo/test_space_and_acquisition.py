@@ -165,8 +165,8 @@ class TestFrozenEquivalence:
             assert ours.integers(2 ** 62) == frozen.integers(2 ** 62)
 
     def test_integers_draws_what_choice_of_one_draws(self):
-        # ``random_neighbour`` and ``random_moves`` draw a single position
-        # with ``rng.integers(0, K)`` in place of
+        # ``random_moves`` draws each position with ``rng.integers(0, K)``
+        # where ``random_neighbour`` calls
         # ``rng.choice(K, size=1, replace=False)``; this pins that numpy
         # gives both the same values from the same stream.
         for length in range(1, 40):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bo.space import SequenceSpace
 from repro.bo.trust_region import TrustRegion, TrustRegionConfig, TrustRegionLocalSearch
+from test_space_and_acquisition import _frozen_random_neighbour
 
 
 @pytest.fixture()
@@ -130,15 +131,6 @@ class TestLocalSearch:
 # ----------------------------------------------------------------------
 # The lockstep search against a frozen copy of the sequential walk
 # ----------------------------------------------------------------------
-def _frozen_random_neighbour(space, sequence, rng):
-    sequence = np.asarray(sequence, dtype=int)
-    position = rng.choice(space.sequence_length, size=1, replace=False)[0]
-    neighbour = sequence.copy()
-    draw = rng.integers(0, space.num_operations - 1)
-    neighbour[position] = draw + (draw >= neighbour[position])
-    return neighbour
-
-
 def _frozen_maximise(space, num_queries, num_restarts, acquisition, centre, radius,
                      rng, exclude=None, trace=None):
     """The sequential walk.  ``trace`` collects the indices of the batches
