@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.api import Campaign, Problem
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -45,22 +45,21 @@ def _env_list(name: str, default):
     return tuple(item.strip() for item in raw.split(",") if item.strip())
 
 
-def bench_config(circuits, methods, budget_scale: float = 1.0) -> ExperimentConfig:
-    """Benchmark-scale experiment configuration with env overrides."""
+def bench_config(circuits, methods, budget_scale: float = 1.0) -> Campaign:
+    """Benchmark-scale campaign, steered by the ``REPRO_BENCH_*`` knobs."""
     budget = max(4, int(_env_int("REPRO_BENCH_BUDGET", 10) * budget_scale))
-    return ExperimentConfig(
+    sequence_length = _env_int("REPRO_BENCH_SEQ_LENGTH", 6)
+    return Campaign(
+        problems=tuple(Problem(circuit, sequence_length=sequence_length)
+                       for circuit in _env_list("REPRO_BENCH_CIRCUITS", circuits)),
+        seeds=tuple(range(_env_int("REPRO_BENCH_SEEDS", 1))),
         budget=budget,
-        num_seeds=_env_int("REPRO_BENCH_SEEDS", 1),
-        sequence_length=_env_int("REPRO_BENCH_SEQ_LENGTH", 6),
-        circuit_width=None,
-        circuits=_env_list("REPRO_BENCH_CIRCUITS", circuits),
-        methods=_env_list("REPRO_BENCH_METHODS", methods),
         method_overrides={
             "boils": {"num_initial": 4, "local_search_queries": 100, "adam_steps": 3,
                       "fit_every": 2},
             "sbo": {"num_initial": 4, "adam_steps": 3, "fit_every": 2},
         },
-    )
+    ).with_methods(_env_list("REPRO_BENCH_METHODS", methods))
 
 
 @pytest.fixture(scope="session")

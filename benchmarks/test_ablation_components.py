@@ -32,8 +32,9 @@ CIRCUIT = "sqrt"
 @pytest.fixture(scope="module")
 def ablation_results():
     config = bench_config((CIRCUIT,), ("boils",))
-    space = config.space()
-    aig = get_circuit(CIRCUIT, width=config.circuit_width)
+    (problem,) = config.problems
+    space = problem.space()
+    aig = get_circuit(CIRCUIT, width=problem.width)
     evaluator = QoREvaluator(aig)
 
     arms = {
@@ -56,7 +57,7 @@ def ablation_results():
     results = {}
     for name, factory in arms.items():
         improvements = []
-        for seed in range(config.num_seeds):
+        for seed in config.seeds:
             evaluator.reset_history()
             run = factory(seed).optimise(evaluator, budget=config.budget)
             improvements.append(run.best_improvement)

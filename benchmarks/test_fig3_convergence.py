@@ -37,7 +37,7 @@ def test_fig3_convergence_regeneration(convergence_results, benchmark):
     write_artifact("fig3_middle_convergence.csv", curves.to_csv())
     write_artifact("fig3_middle_convergence.txt", render_figure3_convergence(curves))
 
-    for circuit in config.circuits:
+    for circuit in (problem.circuit for problem in config.problems):
         for method in curves.curves[circuit]:
             curve = curves.curve(circuit, method)
             assert len(curve) == config.budget

@@ -35,11 +35,11 @@ def pareto_results():
     # Reference points shown in the paper's plots: the unoptimised circuit
     # ("init") and the resyn2 mapping.
     references = {}
-    for circuit in config.circuits:
-        aig = get_circuit(circuit, width=config.circuit_width)
+    for problem in config.problems:
+        aig = get_circuit(problem.circuit, width=problem.width)
         evaluator = QoREvaluator(aig)
         resyn2_mapping = map_aig(resyn2(aig))
-        references[circuit] = {
+        references[problem.circuit] = {
             "init": (evaluator.initial_result.area, evaluator.initial_result.delay),
             "resyn2": (resyn2_mapping.area, resyn2_mapping.delay),
         }
@@ -52,7 +52,7 @@ def test_fig3_pareto_regeneration(pareto_results, benchmark):
     write_artifact("fig3_bottom_pareto.csv", study.to_csv())
     write_artifact("fig3_bottom_pareto.txt", render_figure3_pareto(study))
 
-    for circuit in config.circuits:
+    for circuit in (problem.circuit for problem in config.problems):
         front = study.fronts[circuit]
         # The front must itself be non-dominated.
         assert pareto_front(front) == sorted(front)

@@ -42,7 +42,7 @@ def test_fig3_qor_table_regeneration(qor_results, benchmark):
 
     # Shape checks (not absolute-number checks): every requested cell is
     # filled, and the table carries one row per circuit.
-    assert set(table.circuits) == set(config.circuits)
+    assert set(table.circuits) == {problem.circuit for problem in config.problems}
     for circuit in table.circuits:
         for method in table.methods:
             assert method in table.values[circuit]

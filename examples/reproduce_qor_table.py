@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the paper's evaluation artefacts end to end.
 
-Regenerates, at a configurable scale, every table and figure of the
+Regenerates, at a campaignurable scale, every table and figure of the
 paper's Section IV:
 
 * Figure 3 (top):   QoR-improvement table over all circuits and methods,
@@ -18,19 +18,19 @@ Run closer to paper scale (hours; uses all ten circuits, K=20, 5 seeds):
     REPRO_BUDGET=200 REPRO_SEEDS=5 REPRO_SEQ_LENGTH=20 \
         python examples/reproduce_qor_table.py --full
 
-Note: this example deliberately sticks to the *legacy* API
-(``ExperimentConfig`` + ``run_experiment``) to exercise the
-compatibility shims; see ``compare_optimisers.py`` for the declarative
-``Campaign`` workflow that new code should use.
+The grid is one ``Campaign``; the ``REPRO_*`` variables reach it through
+``Campaign.with_env_overrides``.  Each study runs it through
+``run_experiment``, a store-less campaign run; see
+``compare_optimisers.py`` for a resumable run directory.
 """
 
 import argparse
-import os
+from dataclasses import replace
 from pathlib import Path
 
+from repro.api import Campaign, Problem
 from repro.circuits.registry import LARGE_CIRCUITS
 from repro.experiments import (
-    ExperimentConfig,
     build_qor_table,
     run_experiment,
     sample_efficiency_study,
@@ -47,7 +47,7 @@ from repro.experiments.pareto import build_pareto_study
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
-def make_config(full: bool) -> ExperimentConfig:
+def make_campaign(full: bool) -> Campaign:
     if full:
         circuits = ("adder", "bar", "div", "hyp", "log2", "max",
                     "multiplier", "sin", "sqrt", "square")
@@ -55,18 +55,17 @@ def make_config(full: bool) -> ExperimentConfig:
     else:
         circuits = ("adder", "sqrt", "multiplier", "max")
         methods = ("boils", "sbo", "rs", "greedy", "ga")
-    return ExperimentConfig(
-        budget=int(os.environ.get("REPRO_BUDGET", 15)),
-        num_seeds=int(os.environ.get("REPRO_SEEDS", 1)),
-        sequence_length=int(os.environ.get("REPRO_SEQ_LENGTH", 8)),
-        circuits=circuits,
+    return Campaign(
+        problems=tuple(Problem(circuit, sequence_length=8) for circuit in circuits),
         methods=methods,
+        seeds=(0,),
+        budget=15,
         method_overrides={
             "boils": {"num_initial": 5, "local_search_queries": 150, "adam_steps": 3,
                       "fit_every": 2},
             "sbo": {"num_initial": 5, "adam_steps": 3, "fit_every": 2},
         },
-    )
+    ).with_env_overrides()
 
 
 def main() -> None:
@@ -76,11 +75,11 @@ def main() -> None:
     args = parser.parse_args()
 
     OUTPUT_DIR.mkdir(exist_ok=True)
-    config = make_config(args.full)
+    campaign = make_campaign(args.full)
 
     # ------------------------------------------------------------------
     print("=== Figure 3 (top): QoR table ===")
-    results = run_experiment(config, progress=lambda m: print(f"  [{m}]"))
+    results = run_experiment(campaign, progress=lambda m: print(f"  [{m}]"))
     table = build_qor_table(results)
     text = render_figure3_table(table)
     print(text)
@@ -89,7 +88,8 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n=== Figure 3 (middle): convergence on large circuits ===")
-    large = [c for c in config.circuits if c in LARGE_CIRCUITS] or list(config.circuits)[:2]
+    circuits = [problem.circuit for problem in campaign.problems]
+    large = [c for c in circuits if c in LARGE_CIRCUITS] or circuits[:2]
     large_results = [r for r in results if r.circuit in large]
     curves = build_convergence_curves(large_results)
     (OUTPUT_DIR / "fig3_middle_convergence.csv").write_text(curves.to_csv())
@@ -107,14 +107,9 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("\n=== Figure 1: sample efficiency ===")
-    fig1_config = ExperimentConfig(
-        budget=config.budget, num_seeds=config.num_seeds,
-        sequence_length=config.sequence_length,
-        circuits=tuple(config.circuits[:2]),
-        methods=tuple(m for m in config.methods if m in ("boils", "sbo", "rs", "ga")),
-        method_overrides=config.method_overrides,
-    )
-    study = sample_efficiency_study(fig1_config, extended_budget=3 * config.budget)
+    fig1_campaign = replace(campaign, problems=campaign.problems[:2]).with_methods(
+        tuple(m for m in campaign.methods if m in ("boils", "sbo", "rs", "ga")))
+    study = sample_efficiency_study(fig1_campaign, extended_budget=3 * campaign.budget)
     fig1_text = render_figure1(study)
     print(fig1_text)
     (OUTPUT_DIR / "fig1_sample_efficiency.txt").write_text(fig1_text)

@@ -24,8 +24,8 @@ The package is organised in layers, bottom-up:
 * :mod:`repro.api` — the declarative public surface: ``Problem`` /
   ``Campaign``, resumable ``CampaignStore`` run directories, and the
   ``run_campaign`` / ``resume_campaign`` / ``run_problem`` drivers.
-* :mod:`repro.experiments` — runners regenerating every table and figure
-  of the paper's evaluation (legacy shims over :mod:`repro.api`).
+* :mod:`repro.experiments` — studies regenerating every table and figure
+  of the paper's evaluation, each run as a :mod:`repro.api` campaign.
 """
 
 import sys

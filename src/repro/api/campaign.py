@@ -2,11 +2,10 @@
 
 A campaign is the full description of an evaluation grid — the paper's
 protocol is ``Campaign(problems=<10 circuits>, methods=<8 methods>,
-seeds=(0..4), budget=200)`` — as one JSON-round-trippable value.  It
-replaces the env-knob-steered ``ExperimentConfig``: environment overrides
-still exist, but as the *explicit* :meth:`Campaign.with_env_overrides`
-layer applied exactly where the caller asks for it, never implicitly at
-construction time.
+seeds=(0..4), budget=200)`` — as one JSON-round-trippable value.  The
+``REPRO_*`` environment knobs are the *explicit*
+:meth:`Campaign.with_env_overrides` layer, applied exactly where the
+caller asks for it, never implicitly at construction time.
 """
 
 from __future__ import annotations
@@ -190,6 +189,22 @@ class Campaign:
     def overrides_for(self, method: str) -> Dict[str, object]:
         return dict(self.method_overrides.get(method, {}))
 
+    def with_methods(self, methods: Sequence[str]) -> "Campaign":
+        """A copy running only ``methods``, keeping only their overrides.
+
+        :meth:`validate` rejects overrides for methods outside the grid
+        as typos, so every grid narrowed to a subset of methods goes
+        through here to drop the others' overrides with them.
+        """
+        methods = tuple(methods)
+        return replace(
+            self,
+            methods=methods,
+            method_overrides={key: dict(value)
+                              for key, value in self.method_overrides.items()
+                              if key in methods},
+        )
+
     # ------------------------------------------------------------------
     # Environment-override layer (explicit, not ambient)
     # ------------------------------------------------------------------
@@ -200,9 +215,9 @@ class Campaign:
 
         Reads ``REPRO_BUDGET``, ``REPRO_SEEDS`` (a seed *count* →
         ``range(n)``), ``REPRO_SEQ_LENGTH`` and ``REPRO_CIRCUIT_WIDTH``
-        and returns the adjusted copy.  Unlike the legacy
-        ``ExperimentConfig``, nothing happens unless this method is
-        called — the environment never silently steers a campaign.
+        and returns the adjusted copy.  Nothing happens unless this
+        method is called — the environment never silently steers a
+        campaign.
         Malformed values warn loudly (:func:`env_int`).
         """
         environ = os.environ if environ is None else environ
@@ -220,15 +235,6 @@ class Campaign:
             for problem in self.problems
         )
         return replace(self, budget=budget, seeds=seeds, problems=problems)
-
-    @classmethod
-    def from_env_overrides(
-        cls,
-        base: "Campaign",
-        environ: Optional[Mapping[str, str]] = None,
-    ) -> "Campaign":
-        """Classmethod spelling of :meth:`with_env_overrides`."""
-        return base.with_env_overrides(environ)
 
     # ------------------------------------------------------------------
     # JSON round trip

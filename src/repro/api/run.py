@@ -1,8 +1,8 @@
 """Campaign execution: ``run``, ``resume`` and the one-problem helper.
 
 :func:`run_campaign` is the single grid driver: the CLI's ``run`` /
-``resume`` subcommands, :func:`repro.experiments.run_experiment` (and
-so every paper study and the ``table`` shim) all go through it.  It
+``resume`` subcommands and :func:`repro.experiments.run_experiment`
+(and so every paper study) all go through it.  It
 expands a :class:`~repro.api.campaign.Campaign` into cells, skips any
 cell that already has a completed record in the
 :class:`~repro.api.store.CampaignStore`, dispatches the rest serially or
@@ -525,7 +525,7 @@ def run_problem(
     method (e.g. ``num_initial=5`` for BOiLS), applied on top of its
     registered grid defaults.
     """
-    # Imported here: the runner shims import repro.api for conversions.
+    # Imported here: repro.experiments.runner imports repro.api.
     from repro.engine.cache import PersistentQoRCache
     from repro.experiments.runner import make_optimiser
 

@@ -14,12 +14,12 @@ The primary workflow is campaign-based (built on :mod:`repro.api`):
 * ``list-circuits`` / ``list-methods`` / ``list-objectives`` — what the
   registries currently offer (including entry-point plugins),
 * ``backends list`` — the registered synthesis backends and their
-  availability on this host; ``run``/``evaluate``/``optimise`` select
-  one with ``--backend`` (``native``, ``abc``, ``replay:TAPE``,
+  availability on this host; ``run``/``evaluate`` select one with
+  ``--backend`` (``native``, ``abc``, ``replay:TAPE``,
   ``record:TAPE`` or inline JSON).
 
-Legacy single-shot subcommands (``stats``, ``evaluate``, ``optimise``,
-``table``) are kept as thin shims over the same machinery.
+Single-shot subcommands (``stats``, ``evaluate``) inspect one circuit
+or one sequence.
 
 Examples
 --------
@@ -35,8 +35,6 @@ Examples
 
     python -m repro.cli stats --circuit multiplier --width 6
     python -m repro.cli evaluate --circuit adder --sequence RwRfBl
-    python -m repro.cli optimise --circuit sqrt --method boils --budget 20
-    python -m repro.cli table --circuits adder,sqrt --methods boils,rs
 """
 
 from __future__ import annotations
@@ -54,26 +52,15 @@ from repro.api import (
     resume_campaign,
     run_campaign,
 )
-from repro.bo.space import SequenceSpace
 from repro.circuits import get_circuit, list_circuits
 from repro.qor.backends import BackendError, parse_backend_argument
 from repro.engine import (
     EngineFaultError,
-    EvaluationEngine,
-    EvaluatorSpec,
     FaultPlan,
-    PersistentQoRCache,
     RetryPolicy,
     default_cache_dir,
-    resolve_jobs,
 )
-from repro.experiments import (
-    ExperimentConfig,
-    available_methods,
-    build_qor_table,
-    make_optimiser,
-    run_experiment,
-)
+from repro.experiments import available_methods, build_qor_table
 from repro.experiments.figures import render_figure3_table
 from repro.experiments.runner import method_display_names
 from repro.mapping import map_aig
@@ -305,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "availability on this host")
 
     # ------------------------------------------------------------------
-    # Legacy single-shot shims
+    # Single-shot inspection
     # ------------------------------------------------------------------
     stats = sub.add_parser("stats", help="print AIG and mapping statistics of a circuit")
     stats.add_argument("--circuit", required=True)
@@ -323,46 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--sequence", required=True,
         help="mnemonic string (RwRfBl...) or comma-separated operation names")
-
-    optimise = sub.add_parser(
-        "optimise", help="run an optimiser on a circuit (legacy shim; "
-                         "prefer `repro run`)")
-    optimise.add_argument("--circuit", required=True)
-    optimise.add_argument("--width", type=int, default=None)
-    optimise.add_argument("--method", default="boils", choices=available_methods())
-    optimise.add_argument("--budget", type=int, default=20)
-    optimise.add_argument("--sequence-length", type=int, default=8)
-    optimise.add_argument("--seed", type=int, default=0)
-    optimise.add_argument("--lut-size", type=int, default=6)
-    optimise.add_argument("--objective", default="eq1")
-    optimise.add_argument("--backend", default="native",
-                          help="synthesis backend key, replay:TAPE / "
-                               "record:TAPE, or inline JSON")
-    optimise.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for batch evaluation "
-                               "(1 = serial, 0 = all CPUs)")
-    optimise.add_argument("--cache-dir", default=None,
-                          help="directory of the persistent QoR cache shared "
-                               "across runs (default: REPRO_CACHE_DIR, else off)")
-
-    table = sub.add_parser(
-        "table", help="run a grid and print the QoR table (legacy shim; "
-                      "prefer `repro run`)")
-    table.add_argument("--circuits", default="adder,sqrt",
-                       help="comma-separated circuit names")
-    table.add_argument("--methods", default="boils,rs",
-                       help="comma-separated method keys")
-    table.add_argument("--budget", type=int, default=10)
-    table.add_argument("--seeds", type=int, default=1)
-    table.add_argument("--sequence-length", type=int, default=6)
-    table.add_argument("--lut-size", type=int, default=6,
-                       help="LUT input count used for mapping")
-    table.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for grid cells "
-                            "(1 = serial, 0 = all CPUs)")
-    table.add_argument("--cache-dir", default=None,
-                       help="directory of the persistent QoR cache shared "
-                            "across runs (default: REPRO_CACHE_DIR, else off)")
     return parser
 
 
@@ -391,12 +338,6 @@ def _resolve_cache_dir(cache_dir: Optional[str]) -> Optional[str]:
         return cache_dir
     env_default = default_cache_dir()
     return str(env_default) if env_default else None
-
-
-def _deprecation_note(command: str) -> None:
-    print(f"note: `repro {command}` is a legacy shim; the campaign workflow "
-          "(`repro run` / `resume` / `show`) is the supported interface",
-          file=sys.stderr)
 
 
 def _print_records_table(records) -> None:
@@ -867,7 +808,7 @@ def _cmd_backends(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# Legacy single-shot shims
+# Single-shot inspection
 # ----------------------------------------------------------------------
 def _cmd_stats(args) -> int:
     aig = get_circuit(args.circuit, width=args.width)
@@ -899,83 +840,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _print_engine_metadata(meta) -> None:
-    """One-line summary of the warm pool + planner routing for --jobs > 1."""
-    pool = meta["pool"]
-    decisions = meta["decisions"]
-    routed = {"serial": 0, "pool": 0}
-    for decision in decisions:
-        routed[decision["mode"]] = routed.get(decision["mode"], 0) + 1
-    print(f"execution         : jobs {meta['jobs']}, warm pool "
-          f"builds {pool['builds']} (epoch {pool['epoch']}, "
-          f"rebuilds {pool['rebuilds']}), planner routed "
-          f"{routed['pool']} batch(es) to the pool, "
-          f"{routed['serial']} serial")
-
-
-def _cmd_optimise(args) -> int:
-    _deprecation_note("optimise")
-    spec = EvaluatorSpec.for_circuit(
-        args.circuit, width=args.width, lut_size=args.lut_size,
-        objective=parse_objective_argument(args.objective),
-        backend=parse_backend_argument(args.backend))
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    cache = PersistentQoRCache(cache_dir) if cache_dir else None
-    evaluator = spec.build_evaluator(persistent_cache=cache)
-    space = SequenceSpace(sequence_length=args.sequence_length)
-    optimiser = make_optimiser(args.method, space=space, seed=args.seed)
-    jobs = resolve_jobs(args.jobs)
-    if jobs > 1 and not optimiser.supports_batch:
-        print(f"warning: {optimiser.name} does not batch its evaluations; "
-              f"--jobs {jobs} will run serially", file=sys.stderr)
-    print(f"running {optimiser.name} on {evaluator.aig.name} "
-          f"(budget {args.budget}, K={args.sequence_length}, seed {args.seed}, "
-          f"jobs {jobs}) ...")
-    with EvaluationEngine(spec, jobs=jobs, evaluator=evaluator) as engine:
-        evaluator.attach_engine(engine)
-        result = optimiser.optimise(evaluator, budget=args.budget)
-        engine_meta = engine.metadata()
-    if jobs > 1:
-        _print_engine_metadata(engine_meta)
-    print(f"best sequence     : {sequence_to_string(result.best_sequence)}")
-    for op in result.best_sequence:
-        print(f"   - {op}")
-    print(f"area / delay      : {result.best_area} LUTs / {result.best_delay} levels")
-    print(f"QoR improvement   : {result.best_improvement:.2f}% over resyn2")
-    print(f"evaluations used  : {result.num_evaluations}")
-    if cache is not None:
-        print(f"computed          : {evaluator.num_computed} "
-              f"(persistent-cache hits: {evaluator.num_persistent_hits})")
-        cache.close()
-    return 0
-
-
-def _cmd_table(args) -> int:
-    _deprecation_note("table")
-    config = ExperimentConfig(
-        budget=args.budget,
-        num_seeds=args.seeds,
-        sequence_length=args.sequence_length,
-        lut_size=args.lut_size,
-        circuits=tuple(_parse_csv(args.circuits)),
-        methods=tuple(_parse_csv(args.methods)),
-        method_overrides={
-            "boils": {"num_initial": 4, "local_search_queries": 100, "adam_steps": 3,
-                      "fit_every": 2},
-            "sbo": {"num_initial": 4, "adam_steps": 3, "fit_every": 2},
-        },
-    )
-    cache_dir = _resolve_cache_dir(args.cache_dir)
-    results = run_experiment(
-        config,
-        progress=lambda msg: print(f"  [{msg}]", file=sys.stderr),
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-    )
-    print(render_figure3_table(build_qor_table(results)))
-    return 0
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "resume": _cmd_resume,
@@ -989,8 +853,6 @@ _COMMANDS = {
     "backends": _cmd_backends,
     "stats": _cmd_stats,
     "evaluate": _cmd_evaluate,
-    "optimise": _cmd_optimise,
-    "table": _cmd_table,
 }
 
 

@@ -9,8 +9,8 @@ this module is importable at top level — a requirement for
 ``multiprocessing`` pickling of the initialiser and task functions.
 
 :func:`run_campaign_cell` is the one cell runner behind every
-(method × circuit × seed) grid — ``repro run``, the experiment studies
-and the ``table`` CLI all reach it through
+(method × circuit × seed) grid — ``repro run`` / ``resume`` and the
+experiment studies all reach it through
 :func:`repro.api.run.run_campaign`, serially in-process or in a pool
 worker, on a payload built by :func:`build_cell_payload`.  Cells are
 *round-granular*: instead of returning one opaque result blob at the

@@ -3,9 +3,9 @@
 Every experiment in the paper's Section IV has a dedicated module:
 
 * :mod:`repro.experiments.runner` — shared machinery: build optimisers by
-  name, run (method × circuit × seed) grids through
-  :func:`repro.api.run_campaign` (the one grid driver), aggregate
-  results.
+  name, run a :class:`repro.api.Campaign` grid (problem × method × seed)
+  through :func:`repro.api.run_campaign` (the one grid driver),
+  aggregate results.
 * :mod:`repro.experiments.qor_table` — Figure 3 (top row): the QoR
   improvement table over all ten circuits.
 * :mod:`repro.experiments.sample_efficiency` — Figure 1: evaluations
@@ -21,7 +21,6 @@ Every experiment in the paper's Section IV has a dedicated module:
 """
 
 from repro.experiments.runner import (
-    ExperimentConfig,
     MethodSpec,
     available_methods,
     make_optimiser,
@@ -34,7 +33,6 @@ from repro.experiments.pareto import ParetoStudy, pareto_front, pareto_study
 from repro.experiments.best_known import best_known_reference
 
 __all__ = [
-    "ExperimentConfig",
     "MethodSpec",
     "available_methods",
     "make_optimiser",

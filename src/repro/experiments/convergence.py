@@ -7,14 +7,15 @@ sequences, averaged over seeds, for each method on the four large circuits
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.api import Campaign
 from repro.bo.base import OptimisationResult
 from repro.circuits.registry import LARGE_CIRCUITS
-from repro.experiments.runner import ExperimentConfig, group_results, run_experiment
+from repro.experiments.runner import group_results, on_circuits, run_experiment
 
 
 @dataclass
@@ -67,15 +68,14 @@ def _mean_trajectories(runs: Sequence[OptimisationResult]) -> List[float]:
 
 
 def convergence_study(
-    config: Optional[ExperimentConfig] = None,
-    circuits: Optional[Sequence[str]] = None,
+    campaign: Campaign,
+    circuits: Sequence[str] = LARGE_CIRCUITS,
     progress=None,
 ) -> ConvergenceCurves:
-    """Run the Figure 3 (middle row) study on the large circuits."""
-    config = config if config is not None else ExperimentConfig()
-    selected = list(circuits if circuits is not None else LARGE_CIRCUITS)
-    config = replace(config, circuits=selected)
-    results = run_experiment(config, progress=progress)
+    """Run the Figure 3 (middle row) study on the campaign's problems
+    whose circuit is in ``circuits`` (the large circuits by default)."""
+    results = run_experiment(on_circuits(campaign, circuits),
+                             progress=progress)
     return build_convergence_curves(results)
 
 

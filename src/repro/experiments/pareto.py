@@ -9,14 +9,15 @@ RS and DRL).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api import Campaign
 from repro.bo.base import OptimisationResult
 from repro.circuits.registry import LARGE_CIRCUITS
-from repro.experiments.runner import ExperimentConfig, group_results, run_experiment
+from repro.experiments.runner import group_results, on_circuits, run_experiment
 
 
 Point = Tuple[int, int]
@@ -129,13 +130,12 @@ def build_pareto_study(
 
 
 def pareto_study(
-    config: Optional[ExperimentConfig] = None,
-    circuits: Optional[Sequence[str]] = None,
+    campaign: Campaign,
+    circuits: Sequence[str] = LARGE_CIRCUITS,
     progress=None,
 ) -> ParetoStudy:
-    """Run the Figure 3 (bottom row) study."""
-    config = config if config is not None else ExperimentConfig()
-    selected = list(circuits if circuits is not None else LARGE_CIRCUITS)
-    config = replace(config, circuits=selected)
-    results = run_experiment(config, progress=progress)
+    """Run the Figure 3 (bottom row) study on the campaign's problems
+    whose circuit is in ``circuits`` (the large circuits by default)."""
+    results = run_experiment(on_circuits(campaign, circuits),
+                             progress=progress)
     return build_pareto_study(results)

@@ -17,7 +17,8 @@ import numpy as np
 from repro.bo.base import OptimisationResult
 from repro.circuits.registry import get_circuit_spec
 from repro.experiments.best_known import BestKnownReference
-from repro.experiments.runner import ExperimentConfig, group_results, run_experiment
+from repro.api import Campaign
+from repro.experiments.runner import group_results, run_experiment
 
 
 @dataclass
@@ -136,9 +137,6 @@ def build_qor_table(
     return QoRTable(circuits=circuits, methods=methods, values=values, stds=stds)
 
 
-def run_qor_table(config: Optional[ExperimentConfig] = None,
-                  progress=None) -> QoRTable:
+def run_qor_table(campaign: Campaign, progress=None) -> QoRTable:
     """Convenience wrapper: run the grid then build the table."""
-    config = config if config is not None else ExperimentConfig()
-    results = run_experiment(config, progress=progress)
-    return build_qor_table(results)
+    return build_qor_table(run_experiment(campaign, progress=progress))

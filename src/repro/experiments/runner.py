@@ -1,37 +1,27 @@
-"""Legacy experiment machinery, now thin shims over the public API.
-
-Historically this module owned a private ``_METHODS`` list and the
-env-var-steered :class:`ExperimentConfig`.  Both have been superseded:
+"""Shared machinery of the paper studies, over the public API.
 
 * the method table is the :data:`repro.registry.OPTIMISERS` registry
   (decorator-based, entry-point extensible) — :func:`available_methods`,
-  :func:`method_display_names` and :func:`make_optimiser` are kept as
-  compatibility wrappers;
-* grid configuration is the declarative :class:`repro.api.Campaign` /
-  :class:`repro.api.Problem` pair — :class:`ExperimentConfig` remains as
-  a deprecated adapter (see :meth:`ExperimentConfig.to_campaign`) so
-  existing scripts keep running unchanged;
+  :func:`method_display_names` and :func:`make_optimiser` read it;
+* a grid is a declarative :class:`repro.api.Campaign` of
+  :class:`repro.api.Problem` values;
 * grid execution is :func:`repro.api.run_campaign` —
-  :func:`run_experiment` converts the config and runs it there without
-  a store, so every paper study shares the campaign's cell runner.
-
-New code should import from :mod:`repro.api`.
+  :func:`run_experiment` runs a campaign there without a store, so every
+  paper study shares the campaign's cell runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api import Campaign, Problem, run_campaign
-from repro.api.campaign import env_int
+from repro.api import Campaign, run_campaign
 from repro.bo.base import OptimisationResult, SequenceOptimiser
 from repro.bo.space import SequenceSpace
 from repro.registry import MethodSpec, OPTIMISERS, optimiser_spec
 
 __all__ = [
     "MethodSpec",
-    "ExperimentConfig",
     "available_methods",
     "method_display_names",
     "make_optimiser",
@@ -69,104 +59,17 @@ def make_optimiser(
 
 
 # ----------------------------------------------------------------------
-# Environment knobs
-# ----------------------------------------------------------------------
-def _env_int(name: str, default: int) -> int:
-    """An integer environment override, warning loudly when malformed.
-
-    Delegates to :func:`repro.api.campaign.env_int`: a typo like
-    ``REPRO_BUDGET=abc`` still falls back to the default, but emits a
-    :class:`UserWarning` naming the variable and the value instead of
-    silently running the wrong experiment.
-    """
-    return env_int(name, default)
-
-
-@dataclass
-class ExperimentConfig:
-    """Grid configuration shared by the legacy experiment entry points.
-
-    .. deprecated::
-        New code should build a :class:`repro.api.Campaign` (declarative,
-        JSON-round-trippable, resumable); this class remains as an
-        adapter for existing scripts and converts via
-        :meth:`to_campaign`.  Environment overrides are read at
-        *instantiation* time (not import time) through :func:`_env_int`,
-        which warns on malformed values.
-
-    The paper's setting is ``budget=200`` (``1000`` for the extended
-    sample-efficiency study), ``num_seeds=5``, ``sequence_length=20`` on
-    the full-size EPFL circuits; the defaults here are scaled down so the
-    benchmark suite completes quickly.
-    """
-
-    budget: int = field(default_factory=lambda: _env_int("REPRO_BUDGET", 12))
-    num_seeds: int = field(default_factory=lambda: _env_int("REPRO_SEEDS", 2))
-    sequence_length: int = field(default_factory=lambda: _env_int("REPRO_SEQ_LENGTH", 8))
-    circuit_width: Optional[int] = field(
-        default_factory=lambda: _env_int("REPRO_CIRCUIT_WIDTH", 0) or None
-    )
-    methods: Sequence[str] = ("boils", "sbo", "ga", "rs", "greedy", "a2c")
-    circuits: Sequence[str] = ("adder", "bar", "div", "hyp", "log2", "max",
-                               "multiplier", "sin", "sqrt", "square")
-    lut_size: int = 6
-    objective: object = "eq1"
-    method_overrides: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-    def space(self) -> SequenceSpace:
-        return SequenceSpace(sequence_length=self.sequence_length)
-
-    def to_campaign(self, name: str = "experiment") -> Campaign:
-        """The equivalent declarative :class:`repro.api.Campaign`."""
-        problems = tuple(
-            Problem(
-                circuit=circuit,
-                width=self.circuit_width,
-                lut_size=self.lut_size,
-                sequence_length=self.sequence_length,
-                objective=self.objective,
-            )
-            for circuit in self.circuits
-        )
-        return Campaign(
-            name=name,
-            problems=problems,
-            methods=tuple(self.methods),
-            seeds=tuple(range(self.num_seeds)),
-            budget=self.budget,
-            # Legacy semantics: overrides for methods outside the grid are
-            # simply unused, while Campaign.validate treats them as typos —
-            # drop them here so every valid config converts cleanly.
-            method_overrides={k: dict(v) for k, v in self.method_overrides.items()
-                              if k in self.methods},
-        )
-
-    @classmethod
-    def paper_scale(cls) -> "ExperimentConfig":
-        """The configuration matching the paper's protocol."""
-        return cls(budget=200, num_seeds=5, sequence_length=20, circuit_width=None)
-
-    @classmethod
-    def quick(cls, circuits: Sequence[str] = ("adder", "sqrt"),
-              methods: Sequence[str] = ("boils", "rs")) -> "ExperimentConfig":
-        """A minimal configuration used by tests and CI benchmarks."""
-        return cls(budget=8, num_seeds=1, sequence_length=5, circuit_width=None,
-                   circuits=circuits, methods=methods)
-
-
-# ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
 def run_experiment(
-    config: ExperimentConfig,
+    campaign: Campaign,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
 ) -> List[OptimisationResult]:
-    """Run the full (method × circuit × seed) grid described by ``config``.
+    """Run the full (problem × method × seed) grid of ``campaign``.
 
-    The grid runs as :meth:`ExperimentConfig.to_campaign` through
-    :func:`repro.api.run_campaign` with no store: ``jobs > 1`` spreads
+    The grid runs through :func:`repro.api.run_campaign` with no store: ``jobs > 1`` spreads
     the cells over a warm process pool, ``jobs = 1`` runs the same cell
     code in-process.  Every cell starts from a fresh per-run evaluator
     state (the ``resyn2`` reference mapping is still shared per circuit
@@ -176,11 +79,11 @@ def run_experiment(
     warm entries skip the synthesis + mapping computation without
     changing any result.
 
-    Results come back circuit-major, then method, then seed.  A cell
+    Results come back problem-major, then method, then seed.  A cell
     that fails or is quarantined raises :class:`RuntimeError` naming the
     cell and its error, so no table is ever built from a partial grid.
     """
-    records = run_campaign(config.to_campaign(), jobs=jobs,
+    records = run_campaign(campaign, jobs=jobs,
                            cache_dir=cache_dir, progress=progress)
     unfinished = [record for record in records if not record.ok]
     if unfinished:
@@ -201,3 +104,15 @@ def group_results(results: Sequence[OptimisationResult]) -> Dict[str, Dict[str, 
     for result in results:
         grouped.setdefault(result.method, {}).setdefault(result.circuit, []).append(result)
     return grouped
+
+
+def on_circuits(campaign: Campaign, circuits: Sequence[str]) -> Campaign:
+    """A copy of ``campaign`` keeping only its problems on ``circuits``."""
+    problems = tuple(problem for problem in campaign.problems
+                     if problem.circuit in circuits)
+    if not problems:
+        raise ValueError(
+            f"campaign {campaign.name!r} has no problem on the circuits "
+            f"{list(circuits)}"
+        )
+    return replace(campaign, problems=problems)

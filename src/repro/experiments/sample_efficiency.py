@@ -15,11 +15,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.runner import (
-    ExperimentConfig,
-    group_results,
-    run_experiment,
-)
+from repro.api import Campaign
+from repro.experiments.runner import group_results, run_experiment
 
 
 @dataclass
@@ -68,7 +65,7 @@ def _evaluations_to_reach(trajectory: Sequence[float], target: float,
 
 
 def sample_efficiency_study(
-    config: Optional[ExperimentConfig] = None,
+    campaign: Campaign,
     reference_method: str = "boils",
     target_fraction: float = 0.975,
     extended_budget: Optional[int] = None,
@@ -78,9 +75,11 @@ def sample_efficiency_study(
 
     Parameters
     ----------
-    config:
-        Grid configuration; ``config.budget`` is the reference method's
-        budget (200 in the paper).
+    campaign:
+        The grid; ``campaign.budget`` is the reference method's budget
+        (200 in the paper).  Its ``method_overrides`` may name methods
+        outside ``campaign.methods``: each of the study's two grids
+        keeps only its own methods' overrides.
     reference_method:
         Method whose final improvement defines the target (BOiLS).
     target_fraction:
@@ -88,18 +87,17 @@ def sample_efficiency_study(
         paper).
     extended_budget:
         Budget allowed to the other methods (1000 in the paper); defaults
-        to ``5 × config.budget``.
+        to ``5 × campaign.budget``.
 
     The study is two grids through :func:`run_experiment`: the reference
-    method at ``config.budget``, then every other method at the extended
-    budget, both under ``config``'s objective.
+    method at ``campaign.budget``, then every other method at the
+    extended budget, both on ``campaign``'s problems.
     """
-    config = config if config is not None else ExperimentConfig()
-    extended = extended_budget if extended_budget is not None else 5 * config.budget
+    extended = extended_budget if extended_budget is not None else 5 * campaign.budget
 
     # Reference runs define each circuit's target.
     reference = group_results(run_experiment(
-        replace(config, methods=(reference_method,)), progress=progress))
+        campaign.with_methods((reference_method,)), progress=progress))
     ((reference_display, reference_runs),) = reference.items()
     targets: Dict[str, float] = {}
     evaluations: Dict[str, Dict[str, List[float]]] = {reference_display: {}}
@@ -119,10 +117,10 @@ def sample_efficiency_study(
         ]
 
     # Other methods run with the extended budget until they hit the target.
-    others = tuple(m for m in config.methods if m != reference_method)
+    others = tuple(m for m in campaign.methods if m != reference_method)
     if others:
         for result in run_experiment(
-                replace(config, methods=others, budget=extended),
+                replace(campaign.with_methods(others), budget=extended),
                 progress=progress):
             count = _evaluations_to_reach(result.best_trajectory,
                                           targets[result.circuit], extended)

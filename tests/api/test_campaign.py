@@ -130,6 +130,16 @@ class TestCampaign:
             Campaign(problems=(Problem("adder"),), methods=("rs",),
                      method_overrides={"ga": {}}).validate()
 
+    def test_with_methods_narrows_the_overrides_too(self):
+        campaign = Campaign(
+            problems=(Problem("adder"),), methods=("boils", "sbo", "rs"),
+            method_overrides={"boils": {"num_initial": 4},
+                              "sbo": {"num_initial": 5}})
+        narrowed = campaign.with_methods(("boils", "rs")).validate()
+        assert narrowed.methods == ("boils", "rs")
+        assert narrowed.method_overrides == {"boils": {"num_initial": 4}}
+        assert campaign.with_methods(("rs",)).validate().method_overrides == {}
+
     def test_duplicate_problem_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate problem keys"):
             Campaign(problems=(Problem("adder", width=4),
@@ -154,7 +164,6 @@ class TestEnvOverrides:
         assert campaign.budget == 5
         # ...until the override layer is applied.
         assert campaign.with_env_overrides().budget == 33
-        assert Campaign.from_env_overrides(campaign).budget == 33
 
     def test_env_overrides_all_knobs(self):
         campaign = Campaign(
@@ -184,47 +193,8 @@ class TestEnvIntWarnsLoudly:
         assert env_int("REPRO_BUDGET", 7, {}) == 7
         assert not recwarn.list
 
-    def test_legacy_experiment_config_warns_too(self, monkeypatch):
-        from repro.experiments import ExperimentConfig
-
-        monkeypatch.setenv("REPRO_BUDGET", "not-a-number")
-        with pytest.warns(UserWarning, match="REPRO_BUDGET"):
-            config = ExperimentConfig()
-        assert config.budget == 12  # the documented default
-
     def test_campaign_env_layer_warns_on_malformed(self):
         campaign = Campaign(problems=(Problem("adder"),), budget=5)
         with pytest.warns(UserWarning, match="REPRO_SEEDS"):
             adjusted = campaign.with_env_overrides({"REPRO_SEEDS": "two"})
         assert adjusted.seeds == campaign.seeds
-
-
-class TestExperimentConfigAdapter:
-    def test_to_campaign(self):
-        from repro.experiments import ExperimentConfig
-
-        config = ExperimentConfig(
-            budget=9, num_seeds=2, sequence_length=4, circuit_width=4,
-            circuits=("adder", "sqrt"), methods=("rs",), lut_size=4,
-            method_overrides={"rs": {"use_latin_hypercube": False}},
-        )
-        campaign = config.to_campaign(name="legacy")
-        assert campaign.budget == 9
-        assert campaign.seeds == (0, 1)
-        assert campaign.methods == ("rs",)
-        assert [problem.circuit for problem in campaign.problems] == ["adder", "sqrt"]
-        assert all(problem.lut_size == 4 for problem in campaign.problems)
-        assert campaign.method_overrides == {"rs": {"use_latin_hypercube": False}}
-
-    def test_to_campaign_drops_overrides_for_absent_methods(self):
-        from repro.experiments import ExperimentConfig
-
-        # The CLI's table shim always carries boils/sbo overrides even
-        # when --methods excludes them; legacy runs ignore the unused
-        # entries, so the converted campaign must validate cleanly.
-        config = ExperimentConfig(
-            methods=("rs",),
-            method_overrides={"boils": {"num_initial": 4}},
-        )
-        campaign = config.to_campaign().validate()
-        assert campaign.method_overrides == {}

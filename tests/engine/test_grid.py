@@ -6,15 +6,16 @@
 
 import pytest
 
+from repro.api import Campaign, Problem
 from repro.engine import PersistentQoRCache
-from repro.experiments import ExperimentConfig, build_qor_table, run_experiment
+from repro.experiments import build_qor_table, run_experiment
 
 
 @pytest.fixture(scope="module")
 def config():
-    return ExperimentConfig(
-        budget=5, num_seeds=2, sequence_length=4, circuit_width=4,
-        circuits=("adder",), methods=("rs", "ga"),
+    return Campaign(
+        problems=(Problem("adder", width=4, sequence_length=4),),
+        methods=("rs", "ga"), seeds=(0, 1), budget=5,
     )
 
 

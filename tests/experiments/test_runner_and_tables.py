@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import Campaign, Problem
 from repro.bo.base import OptimisationResult
 from repro.experiments import (
-    ExperimentConfig,
     available_methods,
     best_known_reference,
     build_qor_table,
@@ -30,6 +30,12 @@ def _fake_result(method, circuit, seed, improvement, area=10, delay=3):
     )
 
 
+def _quick(methods, **kwargs):
+    """One seed of ``methods`` on the adder at budget 8, K = 5."""
+    return Campaign(problems=(Problem("adder", sequence_length=5),),
+                    methods=methods, budget=8, **kwargs)
+
+
 class TestMethodRegistry:
     def test_all_methods_registered(self):
         keys = available_methods()
@@ -48,53 +54,33 @@ class TestMethodRegistry:
             make_optimiser("annealing")
 
 
-class TestConfig:
-    def test_defaults_and_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BUDGET", "33")
-        monkeypatch.setenv("REPRO_SEEDS", "4")
-        config = ExperimentConfig()
-        assert config.budget == 33
-        assert config.num_seeds == 4
-
-    def test_paper_scale(self):
-        config = ExperimentConfig.paper_scale()
-        assert config.budget == 200
-        assert config.num_seeds == 5
-        assert config.sequence_length == 20
-
-    def test_quick(self):
-        config = ExperimentConfig.quick()
-        assert config.budget <= 10
-        assert config.num_seeds == 1
-
-
 class TestRunner:
     def test_single_cell(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
+        config = _quick(("rs",))
         (result,) = run_experiment(config)
         assert result.method == "RS"
         assert result.circuit == "adder"
         assert result.num_evaluations == config.budget
 
     def test_grid_produces_all_cells(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs", "greedy"))
+        config = _quick(("rs", "greedy"))
         results = run_experiment(config)
-        assert len(results) == 2 * config.num_seeds
+        assert len(results) == 2 * len(config.seeds)
         grouped = group_results(results)
         assert set(grouped) == {"RS", "Greedy"}
 
     def test_failed_cell_raises_naming_the_cell(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs", "greedy"))
-        config.method_overrides = {"greedy": {"no_such_option": 1}}
+        config = _quick(("rs", "greedy"),
+                        method_overrides={"greedy": {"no_such_option": 1}})
         with pytest.raises(RuntimeError, match=r"__greedy__s0 failed: TypeError"):
             run_experiment(config)
 
     def test_progress_callback(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
+        config = _quick(("rs",))
         messages = []
         run_experiment(config, progress=messages.append)
         # One line per finished cell, in the campaign driver's format.
-        assert len(messages) == config.num_seeds
+        assert len(messages) == len(config.seeds)
         assert messages[0].startswith("rs / adder-")
         assert messages[0].endswith(" / seed 0 [done]")
 

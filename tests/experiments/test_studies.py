@@ -5,16 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.api import Campaign, Problem
 from repro.bo.base import OptimisationResult
 from repro.experiments import (
-    ExperimentConfig,
     build_qor_table,
     pareto_front,
     pareto_study,
     run_experiment,
     sample_efficiency_study,
 )
-from repro.experiments import convergence, pareto
+from repro.experiments import convergence, pareto, runner
 from repro.experiments.convergence import build_convergence_curves, convergence_study
 from repro.experiments.figures import (
     ascii_line_chart,
@@ -37,6 +37,12 @@ def _result(method, circuit, trajectory, area=10, delay=3, seed=0):
         best_trajectory=[max(trajectory[:i + 1]) for i in range(len(trajectory))],
         evaluated_points=[(area, delay)] * len(trajectory),
     )
+
+
+def _quick(methods, **kwargs):
+    """One seed of ``methods`` on the adder at budget 8, K = 5."""
+    return Campaign(problems=(Problem("adder", sequence_length=5),),
+                    methods=methods, budget=8, **kwargs)
 
 
 class TestParetoFront:
@@ -87,8 +93,7 @@ class TestParetoStudy:
         assert "div,BOiLS,5,5,1" in csv
 
     def test_end_to_end_small_study(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
-        study = pareto_study(config, circuits=("adder",))
+        study = pareto_study(_quick(("rs",)), circuits=("adder",))
         assert study.circuits == ["adder"]
         assert "RS" in study.methods
 
@@ -122,8 +127,7 @@ class TestConvergence:
         assert "adder,RS,1," in csv
 
     def test_end_to_end_small_study(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs", "greedy"))
-        curves = convergence_study(config, circuits=("adder",))
+        curves = convergence_study(_quick(("rs", "greedy")), circuits=("adder",))
         assert set(curves.curves["adder"]) == {"RS", "Greedy"}
 
 
@@ -134,8 +138,7 @@ class TestSampleEfficiency:
         assert _evaluations_to_reach([5.0], target=2.0, fallback=99) == 1
 
     def test_small_study_runs(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("boils", "rs"))
-        study = sample_efficiency_study(config, extended_budget=10)
+        study = sample_efficiency_study(_quick(("boils", "rs")), extended_budget=10)
         assert study.reference_method == "BOiLS"
         assert "RS" in study.average_evaluations
         assert study.average_evaluations["RS"] <= 10
@@ -143,6 +146,30 @@ class TestSampleEfficiency:
         assert "adder" in study.targets
         text = study.to_text()
         assert "Sample efficiency" in text
+
+    def test_study_narrows_the_overrides_with_the_methods(self, monkeypatch):
+        # The overrides name sbo, which is outside the grid: each of the
+        # study's grids must drop it, or Campaign.validate rejects it.
+        seen = []
+        real_run_campaign = runner.run_campaign
+
+        def spy(campaign, **kwargs):
+            seen.append(campaign)
+            return real_run_campaign(campaign, **kwargs)
+
+        monkeypatch.setattr(runner, "run_campaign", spy)
+        boils_overrides = {"num_initial": 3, "local_search_queries": 20,
+                           "adam_steps": 1}
+        campaign = Campaign(
+            problems=(Problem("adder", width=4, sequence_length=4),),
+            methods=("boils", "rs"), budget=5,
+            method_overrides={"boils": boils_overrides,
+                              "sbo": {"num_initial": 3}})
+        study = sample_efficiency_study(campaign, extended_budget=6)
+        assert set(study.average_evaluations) == {"BOiLS", "RS"}
+        assert [c.methods for c in seen] == [("boils",), ("rs",)]
+        assert [c.method_overrides for c in seen] == [
+            {"boils": boils_overrides}, {}]
 
 
 class TestStudiesKeepTheObjective:
@@ -153,30 +180,36 @@ class TestStudiesKeepTheObjective:
     def test_objective_reaches_the_grid(self, monkeypatch, module, study):
         seen = []
 
-        def fake_run_experiment(config, progress=None):
-            seen.append(config)
+        def fake_run_experiment(campaign, progress=None):
+            seen.append(campaign)
             return []
 
         monkeypatch.setattr(module, "run_experiment", fake_run_experiment)
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("rs",))
-        study(replace(config, objective="area"), circuits=("sqrt",))
-        assert [c.objective for c in seen] == ["area"]
-        assert list(seen[0].circuits) == ["sqrt"]
+        campaign = Campaign(problems=(Problem("adder", objective="area"),
+                                      Problem("sqrt", objective="area")),
+                            methods=("rs",))
+        study(campaign, circuits=("sqrt",))
+        assert [(p.circuit, p.objective) for c in seen for p in c.problems] == [
+            ("sqrt", "area")]
+
+    def test_studies_reject_a_campaign_off_their_circuits(self):
+        with pytest.raises(ValueError, match="no problem on the circuits"):
+            convergence_study(_quick(("rs",)))
 
     def test_sample_efficiency_targets_follow_the_objective(self):
         # max at width 4 is small, yet its eq1 and area targets differ
         # (adder and sqrt at width 4 tie at 0.0 under both).
-        base = ExperimentConfig(
-            budget=6, num_seeds=1, sequence_length=4, circuit_width=4,
-            circuits=("max",), methods=("boils", "rs"),
+        problem = Problem("max", width=4, sequence_length=4)
+        base = Campaign(
+            problems=(problem,), methods=("boils", "rs"), budget=6,
             method_overrides={"boils": {"num_initial": 3,
                                         "local_search_queries": 20,
                                         "adam_steps": 2}},
         )
-        area = replace(base, objective="area")
+        area = replace(base, problems=(replace(problem, objective="area"),))
         eq1_study = sample_efficiency_study(base, extended_budget=8)
         area_study = sample_efficiency_study(area, extended_budget=8)
-        (reference,) = run_experiment(replace(area, methods=("boils",)))
+        (reference,) = run_experiment(area.with_methods(("boils",)))
         assert reference.best_improvement > 0
         assert area_study.targets["max"] == pytest.approx(
             0.975 * reference.best_improvement)
@@ -204,8 +237,7 @@ class TestFigureRendering:
         assert "Figure 3 (bottom)" in render_figure3_pareto(study)
 
     def test_render_figure1(self):
-        config = ExperimentConfig.quick(circuits=("adder",), methods=("boils", "rs"))
-        study = sample_efficiency_study(config, extended_budget=6)
+        study = sample_efficiency_study(_quick(("boils", "rs")), extended_budget=6)
         assert "Figure 1" in render_figure1(study)
 
     def test_render_figure2(self, rng):

@@ -16,11 +16,8 @@ from repro import OPERATION_ALPHABET, QoREvaluator, apply_sequence, get_circuit,
 from repro.aig.simulation import functionally_equivalent
 from repro.bo import BOiLS, SequenceSpace
 from repro.baselines import RandomSearch
-from repro.experiments import (
-    ExperimentConfig,
-    build_qor_table,
-    run_experiment,
-)
+from repro.api import Campaign, Problem
+from repro.experiments import build_qor_table, run_experiment
 from repro.experiments.convergence import build_convergence_curves
 from repro.experiments.pareto import build_pareto_study
 from repro.mapping import map_aig
@@ -68,9 +65,9 @@ class TestOptimiserIntegration:
         assert np.mean(boils_scores) >= np.mean(rs_scores) - 1.0
 
     def test_experiment_grid_and_all_aggregations(self):
-        config = ExperimentConfig(
-            budget=6, num_seeds=1, sequence_length=4,
-            circuits=("adder",), methods=("boils", "rs"),
+        config = Campaign(
+            problems=(Problem("adder", sequence_length=4),),
+            methods=("boils", "rs"), seeds=(0,), budget=6,
             method_overrides={"boils": {"num_initial": 3, "local_search_queries": 30,
                                         "adam_steps": 1}},
         )
@@ -96,9 +93,9 @@ class TestOptimiserIntegration:
 
 class TestDeterminism:
     def test_whole_pipeline_is_deterministic(self):
-        config = ExperimentConfig(
-            budget=5, num_seeds=1, sequence_length=4,
-            circuits=("sqrt",), methods=("rs", "greedy"),
+        config = Campaign(
+            problems=(Problem("sqrt", sequence_length=4),),
+            methods=("rs", "greedy"), seeds=(0,), budget=5,
         )
         first = run_experiment(config)
         second = run_experiment(config)

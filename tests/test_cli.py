@@ -44,32 +44,15 @@ class TestCommands:
                      "--sequence", "balance,rewrite"]) == 0
         assert "QoR" in capsys.readouterr().out
 
-    def test_optimise_random_search(self, capsys):
-        assert main(["optimise", "--circuit", "adder", "--width", "4",
-                     "--method", "rs", "--budget", "4",
+    def test_run_boils(self, capsys):
+        assert main(["run", "--circuits", "adder", "--width", "4",
+                     "--methods", "boils", "--budget", "4",
                      "--sequence-length", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "best sequence" in out and "evaluations used  : 4" in out
-
-    def test_optimise_boils(self, capsys):
-        assert main(["optimise", "--circuit", "adder", "--width", "4",
-                     "--method", "boils", "--budget", "4",
-                     "--sequence-length", "3"]) == 0
-        assert "QoR improvement" in capsys.readouterr().out
-
-    def test_table(self, capsys):
-        assert main(["table", "--circuits", "adder", "--methods", "rs,greedy",
-                     "--budget", "4", "--sequence-length", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 3 (top)" in out and "Average" in out
+        assert "BOiLS" in capsys.readouterr().out
 
     def test_unknown_circuit_returns_error_code(self, capsys):
         assert main(["stats", "--circuit", "cpu"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_unknown_method_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["optimise", "--circuit", "adder", "--method", "annealing"])
 
 
 class TestCampaignCommands:
@@ -208,31 +191,25 @@ class TestRoundGranularCli:
         assert store.trajectory_round_count(cell_id) >= 1
 
 
-class TestTableLutSize:
-    def test_table_accepts_lut_size(self, capsys):
-        assert main(["table", "--circuits", "adder", "--methods", "rs",
-                     "--budget", "3", "--sequence-length", "3",
-                     "--lut-size", "4"]) == 0
-        assert "Figure 3 (top)" in capsys.readouterr().out
-
-    def test_lut_size_reaches_the_grid(self, monkeypatch):
-        captured = {}
+class TestRunLutSize:
+    def test_lut_size_reaches_the_grid(self, capsys, monkeypatch):
         from repro import cli as cli_module
 
-        def fake_run_experiment(config, progress=None, jobs=1, cache_dir=None):
-            captured["config"] = config
-            return []
+        campaigns = []
+        real_run_campaign = cli_module.run_campaign
 
-        monkeypatch.setattr(cli_module, "run_experiment", fake_run_experiment)
-        monkeypatch.setattr(cli_module, "render_figure3_table", lambda table: "")
-        main(["table", "--circuits", "adder", "--methods", "rs",
-              "--budget", "3", "--lut-size", "4"])
-        assert captured["config"].lut_size == 4
+        def spy(campaign, **kwargs):
+            campaigns.append(campaign)
+            return real_run_campaign(campaign, **kwargs)
 
-    def test_legacy_shims_print_deprecation_note(self, capsys):
-        main(["table", "--circuits", "adder", "--methods", "rs",
-              "--budget", "3", "--sequence-length", "3"])
-        assert "legacy shim" in capsys.readouterr().err
+        monkeypatch.setattr(cli_module, "run_campaign", spy)
+        assert main(["run", "--circuits", "adder,sqrt", "--methods", "rs",
+                     "--budget", "3", "--sequence-length", "3",
+                     "--width", "4", "--lut-size", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 3 (top)" in out and "Average" in out
+        (campaign,) = campaigns
+        assert [problem.lut_size for problem in campaign.problems] == [4, 4]
 
 
 class TestCorpusCommands:
