@@ -14,10 +14,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.api import Campaign
 from repro.bo.base import OptimisationResult
 from repro.circuits.registry import get_circuit_spec
 from repro.experiments.best_known import BestKnownReference
-from repro.api import Campaign
 from repro.experiments.runner import group_results, run_experiment
 
 

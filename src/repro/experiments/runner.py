@@ -69,12 +69,12 @@ def run_experiment(
 ) -> List[OptimisationResult]:
     """Run the full (problem × method × seed) grid of ``campaign``.
 
-    The grid runs through :func:`repro.api.run_campaign` with no store: ``jobs > 1`` spreads
-    the cells over a warm process pool, ``jobs = 1`` runs the same cell
-    code in-process.  Every cell starts from a fresh per-run evaluator
-    state (the ``resyn2`` reference mapping is still shared per circuit
-    within a process), which makes the result grid independent of
-    ``jobs`` and of cell ordering.  Pass ``cache_dir`` to share a
+    The grid runs through :func:`repro.api.run_campaign` with no store:
+    ``jobs > 1`` spreads the cells over a warm process pool, ``jobs = 1``
+    runs the same cell code in-process.  Every cell starts from a fresh
+    per-run evaluator state (the ``resyn2`` reference mapping is still
+    shared per circuit within a process), which makes the result grid
+    independent of ``jobs`` and of cell ordering.  Pass ``cache_dir`` to share a
     persistent QoR cache across cells, processes and repeated runs —
     warm entries skip the synthesis + mapping computation without
     changing any result.
@@ -83,8 +83,8 @@ def run_experiment(
     that fails or is quarantined raises :class:`RuntimeError` naming the
     cell and its error, so no table is ever built from a partial grid.
     """
-    records = run_campaign(campaign, jobs=jobs,
-                           cache_dir=cache_dir, progress=progress)
+    records = run_campaign(campaign, jobs=jobs, cache_dir=cache_dir,
+                           progress=progress)
     unfinished = [record for record in records if not record.ok]
     if unfinished:
         details = "; ".join(
