@@ -26,16 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Campaign, Problem
+from repro.api import Campaign, Problem, env_int
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except (TypeError, ValueError):
-        return default
 
 
 def _env_list(name: str, default):
@@ -47,12 +40,12 @@ def _env_list(name: str, default):
 
 def bench_config(circuits, methods, budget_scale: float = 1.0) -> Campaign:
     """Benchmark-scale campaign, steered by the ``REPRO_BENCH_*`` knobs."""
-    budget = max(4, int(_env_int("REPRO_BENCH_BUDGET", 10) * budget_scale))
-    sequence_length = _env_int("REPRO_BENCH_SEQ_LENGTH", 6)
+    budget = max(4, int(env_int("REPRO_BENCH_BUDGET", 10) * budget_scale))
+    sequence_length = env_int("REPRO_BENCH_SEQ_LENGTH", 6)
     return Campaign(
         problems=tuple(Problem(circuit, sequence_length=sequence_length)
                        for circuit in _env_list("REPRO_BENCH_CIRCUITS", circuits)),
-        seeds=tuple(range(_env_int("REPRO_BENCH_SEEDS", 1))),
+        seeds=tuple(range(env_int("REPRO_BENCH_SEEDS", 1))),
         budget=budget,
         method_overrides={
             "boils": {"num_initial": 4, "local_search_queries": 100, "adam_steps": 3,

@@ -33,11 +33,11 @@ Scale knobs: ``REPRO_BENCH_ENGINE_BATCH`` (batch size, default 24),
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from benchmarks.conftest import write_artifact
 from benchmarks.test_substrate_performance import record_bench_entry
+from repro.api import env_int
 from repro.bo.space import SequenceSpace
 from repro.engine import EvaluationEngine, EvaluatorSpec
 from repro.engine.planner import effective_parallelism
@@ -47,13 +47,6 @@ import numpy as np
 
 _WARMUP_BATCHES = 2
 _JOBS_SWEEP = (1, 2, 4)
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except (TypeError, ValueError):
-        return default
 
 
 def _measure(engine, warmups, timed):
@@ -73,8 +66,8 @@ def _measure(engine, warmups, timed):
 
 
 def test_engine_throughput_jobs_sweep():
-    batch_size = max(4, _env_int("REPRO_BENCH_ENGINE_BATCH", 24))
-    rounds = max(1, _env_int("REPRO_BENCH_ENGINE_ROUNDS", 3))
+    batch_size = max(4, env_int("REPRO_BENCH_ENGINE_BATCH", 24))
+    rounds = max(1, env_int("REPRO_BENCH_ENGINE_ROUNDS", 3))
     spec = EvaluatorSpec.for_circuit("adder", width=4)
     space = SequenceSpace(sequence_length=4)
     # One deterministic stream for the whole sweep: every jobs value sees

@@ -1,6 +1,7 @@
 """Tests for the declarative Problem/Campaign layer."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -140,6 +141,21 @@ class TestCampaign:
         assert narrowed.method_overrides == {"boils": {"num_initial": 4}}
         assert campaign.with_methods(("rs",)).validate().method_overrides == {}
 
+    def test_with_methods_keeps_every_other_field(self):
+        campaign = replace(self._campaign(), wall_clock_budget=9.0,
+                           early_stop_improvement=1.5, eval_timeout=4.0,
+                           cell_timeout=30.0)
+        narrowed = campaign.with_methods(["greedy"])
+        assert narrowed.methods == ("greedy",)
+        assert replace(narrowed, methods=campaign.methods,
+                       method_overrides=campaign.method_overrides) == campaign
+
+    def test_with_methods_copies_the_kept_overrides(self):
+        campaign = self._campaign()
+        narrowed = campaign.with_methods(("rs",))
+        narrowed.method_overrides["rs"]["use_latin_hypercube"] = True
+        assert campaign.method_overrides == {"rs": {"use_latin_hypercube": False}}
+
     def test_duplicate_problem_keys_rejected(self):
         with pytest.raises(ValueError, match="duplicate problem keys"):
             Campaign(problems=(Problem("adder", width=4),
@@ -198,3 +214,24 @@ class TestEnvIntWarnsLoudly:
         with pytest.warns(UserWarning, match="REPRO_SEEDS"):
             adjusted = campaign.with_env_overrides({"REPRO_SEEDS": "two"})
         assert adjusted.seeds == campaign.seeds
+
+
+class TestBenchConfig:
+    """The ``REPRO_BENCH_*`` knobs of the benchmark harness."""
+
+    def test_malformed_knob_warns_and_falls_back(self, monkeypatch):
+        from benchmarks.conftest import bench_config
+
+        monkeypatch.setenv("REPRO_BENCH_BUDGET", "abc")
+        with pytest.warns(UserWarning, match="REPRO_BENCH_BUDGET='abc'"):
+            campaign = bench_config(("adder",), ("rs",))
+        assert campaign.budget == 10  # the documented default
+
+    def test_methods_knob_narrows_the_overrides(self, monkeypatch):
+        from benchmarks.conftest import bench_config
+
+        monkeypatch.setenv("REPRO_BENCH_METHODS", "rs,boils")
+        campaign = bench_config(("adder",), ("boils", "sbo", "rs"))
+        assert campaign.methods == ("rs", "boils")
+        assert set(campaign.method_overrides) == {"boils"}
+        campaign.validate()

@@ -50,6 +50,25 @@ class TestCommands:
                      "--sequence-length", "3"]) == 0
         assert "BOiLS" in capsys.readouterr().out
 
+    def test_run_random_search_stores_every_evaluation(self, capsys, tmp_path):
+        from repro.api import CampaignStore
+
+        store = tmp_path / "run"
+        assert main(["run", "--circuits", "adder", "--width", "4",
+                     "--methods", "rs", "--budget", "4",
+                     "--sequence-length", "3", "--store", str(store)]) == 0
+        assert "RS" in capsys.readouterr().out
+        (record,) = CampaignStore(store).load_records()
+        result = record.to_result()
+        assert result.num_evaluations == 4 and len(result.best_sequence) == 3
+
+    @pytest.mark.parametrize("command", ["optimise", "table"])
+    def test_removed_commands_exit_with_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--circuit", "adder"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
     def test_unknown_circuit_returns_error_code(self, capsys):
         assert main(["stats", "--circuit", "cpu"]) == 2
         assert "error:" in capsys.readouterr().err
