@@ -32,9 +32,8 @@ CIRCUIT = "sqrt"
 @pytest.fixture(scope="module")
 def ablation_results():
     config = bench_config((CIRCUIT,), ("boils",))
-    (problem,) = config.problems
-    space = problem.space()
-    aig = get_circuit(CIRCUIT, width=problem.width)
+    space = config.problems[0].space()
+    aig = get_circuit(CIRCUIT)
     evaluator = QoREvaluator(aig)
 
     arms = {

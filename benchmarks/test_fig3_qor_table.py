@@ -64,3 +64,28 @@ def test_fig3_wins_counted(qor_results):
     table = build_qor_table(results)
     total_wins = sum(table.wins(method) for method in table.methods)
     assert total_wins == len(table.circuits)
+
+
+def test_scale_knobs_shape_the_campaign(monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_CIRCUITS", "sqrt, max")
+    monkeypatch.setenv("REPRO_BENCH_SEEDS", "3")
+    monkeypatch.setenv("REPRO_BENCH_SEQ_LENGTH", "5")
+    monkeypatch.setenv("REPRO_BENCH_BUDGET", "12")
+    campaign = bench_config(("adder",), ("rs",), budget_scale=0.5)
+    assert [problem.circuit for problem in campaign.problems] == ["sqrt", "max"]
+    assert {problem.sequence_length for problem in campaign.problems} == {5}
+    assert {problem.width for problem in campaign.problems} == {None}
+    assert campaign.seeds == (0, 1, 2)
+    assert campaign.budget == 6
+    # The budget never drops below 4, however small the scale.
+    assert bench_config(("adder",), ("rs",), budget_scale=0.1).budget == 4
+
+
+def test_methods_knob_narrows_the_overrides(monkeypatch):
+    """``REPRO_BENCH_METHODS`` drops the overrides of the methods it
+    removes, which ``Campaign.validate`` would reject as typos."""
+    monkeypatch.setenv("REPRO_BENCH_METHODS", "rs,boils")
+    campaign = bench_config(("adder",), ("boils", "sbo", "rs"))
+    assert campaign.methods == ("rs", "boils")
+    assert set(campaign.method_overrides) == {"boils"}
+    campaign.validate()

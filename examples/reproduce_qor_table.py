@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the paper's evaluation artefacts end to end.
 
-Regenerates, at a campaignurable scale, every table and figure of the
+Regenerates, at a configurable scale, every table and figure of the
 paper's Section IV:
 
 * Figure 3 (top):   QoR-improvement table over all circuits and methods,

@@ -14,8 +14,7 @@ import numpy as np
 
 from repro.api import Campaign
 from repro.bo.base import OptimisationResult
-from repro.circuits.registry import LARGE_CIRCUITS
-from repro.experiments.runner import group_results, on_circuits, run_experiment
+from repro.experiments.runner import group_results, run_experiment
 
 
 @dataclass
@@ -67,15 +66,10 @@ def _mean_trajectories(runs: Sequence[OptimisationResult]) -> List[float]:
     return list(np.mean(np.array(padded), axis=0))
 
 
-def convergence_study(
-    campaign: Campaign,
-    circuits: Sequence[str] = LARGE_CIRCUITS,
-    progress=None,
-) -> ConvergenceCurves:
-    """Run the Figure 3 (middle row) study on the campaign's problems
-    whose circuit is in ``circuits`` (the large circuits by default)."""
-    results = run_experiment(on_circuits(campaign, circuits),
-                             progress=progress)
+def convergence_study(campaign: Campaign, progress=None) -> ConvergenceCurves:
+    """Run the Figure 3 (middle row) study on ``campaign``'s grid (the
+    paper runs it on the large circuits)."""
+    results = run_experiment(campaign, progress=progress)
     return build_convergence_curves(results)
 
 

@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.api import Campaign
 from repro.bo.base import OptimisationResult
-from repro.circuits.registry import LARGE_CIRCUITS
-from repro.experiments.runner import group_results, on_circuits, run_experiment
+from repro.experiments.runner import group_results, run_experiment
 
 
 Point = Tuple[int, int]
@@ -129,13 +128,8 @@ def build_pareto_study(
     )
 
 
-def pareto_study(
-    campaign: Campaign,
-    circuits: Sequence[str] = LARGE_CIRCUITS,
-    progress=None,
-) -> ParetoStudy:
-    """Run the Figure 3 (bottom row) study on the campaign's problems
-    whose circuit is in ``circuits`` (the large circuits by default)."""
-    results = run_experiment(on_circuits(campaign, circuits),
-                             progress=progress)
+def pareto_study(campaign: Campaign, progress=None) -> ParetoStudy:
+    """Run the Figure 3 (bottom row) study on ``campaign``'s grid (the
+    paper runs it on the large circuits)."""
+    results = run_experiment(campaign, progress=progress)
     return build_pareto_study(results)

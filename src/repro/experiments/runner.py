@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api import Campaign, run_campaign
@@ -105,14 +104,3 @@ def group_results(results: Sequence[OptimisationResult]) -> Dict[str, Dict[str, 
         grouped.setdefault(result.method, {}).setdefault(result.circuit, []).append(result)
     return grouped
 
-
-def on_circuits(campaign: Campaign, circuits: Sequence[str]) -> Campaign:
-    """A copy of ``campaign`` keeping only its problems on ``circuits``."""
-    problems = tuple(problem for problem in campaign.problems
-                     if problem.circuit in circuits)
-    if not problems:
-        raise ValueError(
-            f"campaign {campaign.name!r} has no problem on the circuits "
-            f"{list(circuits)}"
-        )
-    return replace(campaign, problems=problems)

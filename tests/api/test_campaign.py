@@ -215,23 +215,3 @@ class TestEnvIntWarnsLoudly:
             adjusted = campaign.with_env_overrides({"REPRO_SEEDS": "two"})
         assert adjusted.seeds == campaign.seeds
 
-
-class TestBenchConfig:
-    """The ``REPRO_BENCH_*`` knobs of the benchmark harness."""
-
-    def test_malformed_knob_warns_and_falls_back(self, monkeypatch):
-        from benchmarks.conftest import bench_config
-
-        monkeypatch.setenv("REPRO_BENCH_BUDGET", "abc")
-        with pytest.warns(UserWarning, match="REPRO_BENCH_BUDGET='abc'"):
-            campaign = bench_config(("adder",), ("rs",))
-        assert campaign.budget == 10  # the documented default
-
-    def test_methods_knob_narrows_the_overrides(self, monkeypatch):
-        from benchmarks.conftest import bench_config
-
-        monkeypatch.setenv("REPRO_BENCH_METHODS", "rs,boils")
-        campaign = bench_config(("adder",), ("boils", "sbo", "rs"))
-        assert campaign.methods == ("rs", "boils")
-        assert set(campaign.method_overrides) == {"boils"}
-        campaign.validate()

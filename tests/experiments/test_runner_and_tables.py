@@ -12,7 +12,8 @@ from repro.experiments import (
     make_optimiser,
     run_experiment,
 )
-from repro.experiments.runner import group_results, on_circuits
+from repro.experiments.qor_table import run_qor_table
+from repro.experiments.runner import group_results
 from repro.bo.space import SequenceSpace
 from repro.circuits import make_adder
 from repro.qor import QoREvaluator
@@ -52,27 +53,6 @@ class TestMethodRegistry:
     def test_unknown_method(self):
         with pytest.raises(KeyError):
             make_optimiser("annealing")
-
-
-class TestOnCircuits:
-    def _campaign(self):
-        return Campaign(problems=(Problem("adder"), Problem("sqrt"),
-                                  Problem("adder", objective="area")),
-                        methods=("rs",), seeds=(0, 1), budget=5, name="grid")
-
-    def test_keeps_only_the_named_circuits_in_order(self):
-        campaign = self._campaign()
-        narrowed = on_circuits(campaign, ("sqrt", "adder"))
-        assert narrowed.problems == campaign.problems
-        adders = on_circuits(campaign, ("adder", "multiplier"))
-        assert adders.problems == (campaign.problems[0], campaign.problems[2])
-        assert (adders.methods, adders.seeds, adders.budget, adders.name) == (
-            ("rs",), (0, 1), 5, "grid")
-
-    def test_no_problem_left_raises(self):
-        with pytest.raises(ValueError, match=r"'grid' has no problem on the "
-                                             r"circuits \['log2'\]"):
-            on_circuits(self._campaign(), ("log2",))
 
 
 class TestRunner:
@@ -134,6 +114,13 @@ class TestQoRTable:
         csv = table.to_csv()
         assert csv.splitlines()[0] == "circuit,method,mean_improvement,std_improvement"
         assert "adder,BOiLS," in csv
+
+    def test_run_qor_table_tabulates_the_campaign(self):
+        campaign = _quick(("rs", "greedy"))
+        table = run_qor_table(campaign)
+        assert table.to_text() == build_qor_table(run_experiment(campaign)).to_text()
+        assert table.circuits == ["adder"]
+        assert set(table.methods) == {"RS", "Greedy"}
 
     def test_std_recorded(self):
         results = [_fake_result("RS", "adder", 0, 4.0), _fake_result("RS", "adder", 1, 8.0)]

@@ -151,6 +151,18 @@ class TestRoundGranularCli:
         err = capsys.readouterr().err
         assert "round 1" in err and "/4 evals" in err
 
+    def test_table_is_identical_at_jobs_1_and_2(self, capsys, tmp_path):
+        tables = []
+        for jobs in ("1", "2"):
+            assert main(["run", "--circuits", "adder,sqrt",
+                         "--methods", "rs,ga", "--budget", "4", "--seeds", "2",
+                         "--sequence-length", "3", "--width", "4",
+                         "--no-round-progress", "--jobs", jobs,
+                         "--store", str(tmp_path / f"jobs{jobs}")]) == 0
+            tables.append(capsys.readouterr().out)
+        assert "Figure 3 (top)" in tables[0]
+        assert tables[0] == tables[1]
+
     def test_no_round_progress_flag(self, capsys, tmp_path):
         assert main(["run", "--circuits", "adder", "--methods", "ga",
                      "--budget", "4", "--seeds", "1",
