@@ -1,12 +1,11 @@
-"""Perf regression gate: compare BENCH_*.json artifacts to baselines.
+"""Perf regression gate: compare BENCH_*.json artifacts to their bars.
 
 Usage (CI runs this after the benchmark suite)::
 
     python benchmarks/check_perf_regression.py \
         [--artifact benchmarks/artifacts/BENCH_substrate.json] \
         [--baseline benchmarks/baselines/BENCH_substrate_baseline.json] \
-        [--engine-artifact benchmarks/artifacts/BENCH_engine.json] \
-        [--engine-baseline benchmarks/baselines/BENCH_engine_baseline.json] \
+        [--campaign-artifact benchmarks/artifacts/BENCH_campaign.json] \
         [--tolerance 0.25]
 
 **Substrate gate.**  The committed baseline stores the
@@ -17,32 +16,25 @@ same interpreter does not.  The gate fails when any path's current
 speedup falls more than ``tolerance`` (default 25 %) below its committed
 baseline, i.e. when an edit has eaten a quarter of a hot path's win.
 
-**Engine gate.**  ``BENCH_engine.json`` records warm-pool
-``sequences_per_second`` across jobs ∈ {1, 2, 4}.  Unlike the substrate
-speedups, the jobs-scaling ratios depend on how many CPUs the measuring
-host actually has — a warm pool physically cannot beat serial on one
-core — so the artifact records ``available_cpus`` and the gate is
-hardware-conditional:
+**Campaign-pool gate.**  ``BENCH_campaign.json`` records the minimum
+wall and CPU seconds of one BOiLS + GA grid run through ``run_campaign``
+at ``jobs=1`` and ``jobs=2`` (see ``test_campaign_scaling.py``).  A pool
+cannot beat serial on one CPU, so the artifact records
+``available_cpus`` and the gate applies only on hosts with at least
+two:
 
-* on ≥ 2 CPUs, jobs=2 must reach 1.5× jobs=1 (the
-  parallelism-inversion acceptance floor); on ≥ 4 CPUs, jobs=4 must
-  hold ≥ 0.95× of jobs=2 (scaling must not collapse);
-* the adaptive (planner-routed) rate must never grossly invert —
-  ≥ ``1 - 2·tolerance`` of serial on *any* hardware, since the planner
-  is free to simply stay serial;
-* ratio-vs-baseline comparison applies only when the artifact and the
-  committed baseline were measured with the same ``available_cpus``
-  (cross-hardware ratio comparison would be meaningless).
+* the wall speedup ``jobs1 / jobs2`` must reach
+  :data:`CAMPAIGN_WALL_SPEEDUP_FLOOR`;
+* the CPU ratio ``jobs2 / jobs1`` must stay under
+  :data:`CAMPAIGN_CPU_RATIO_CEILING`: pool start-up, IPC and per-worker
+  cold caches may cost some CPU, not a multiple of the serial run.
 
-To refresh a baseline after an intentional change, run the benchmark
-suite and copy the artifact over the baseline file::
+To refresh the substrate baseline after an intentional change, run the
+benchmark and copy the artifact over the baseline file::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_substrate_performance.py \
-        benchmarks/test_engine_throughput.py -q
+    PYTHONPATH=src python -m pytest benchmarks/test_substrate_performance.py -q
     cp benchmarks/artifacts/BENCH_substrate.json \
        benchmarks/baselines/BENCH_substrate_baseline.json
-    cp benchmarks/artifacts/BENCH_engine.json \
-       benchmarks/baselines/BENCH_engine_baseline.json
 """
 
 from __future__ import annotations
@@ -55,13 +47,15 @@ from typing import List
 
 DEFAULT_ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_substrate.json"
 DEFAULT_BASELINE = Path(__file__).parent / "baselines" / "BENCH_substrate_baseline.json"
-DEFAULT_ENGINE_ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_engine.json"
-DEFAULT_ENGINE_BASELINE = (
-    Path(__file__).parent / "baselines" / "BENCH_engine_baseline.json")
+DEFAULT_CAMPAIGN_ARTIFACT = (
+    Path(__file__).parent / "artifacts" / "BENCH_campaign.json")
 
-#: Hardware-conditional floors for the engine jobs sweep.
-ENGINE_JOBS2_FLOOR = 1.5   # enforced when measured with >= 2 CPUs
-ENGINE_JOBS4_FLOOR = 0.95  # jobs4/jobs2, enforced when >= 4 CPUs
+#: Campaign-pool bars, enforced on hosts with >= 2 CPUs.  Ten runs of
+#: test_campaign_scaling.py on a 2-vCPU VM read wall speedups of
+#: 1.15-1.56x and CPU ratios of 1.16-1.55 (every run is in CHANGES.md);
+#: each bar sits about 10 % outside the worst run.
+CAMPAIGN_WALL_SPEEDUP_FLOOR = 1.05
+CAMPAIGN_CPU_RATIO_CEILING = 1.7
 
 
 def check(artifact_path: Path, baseline_path: Path, tolerance: float) -> int:
@@ -72,7 +66,7 @@ def check(artifact_path: Path, baseline_path: Path, tolerance: float) -> int:
     for name, base_entry in sorted(baseline.get("paths", {}).items()):
         base_speedup = base_entry.get("speedup")
         if base_speedup is None:
-            continue  # informational entries (e.g. engine throughput)
+            continue  # informational entries
         current_entry = artifact.get("paths", {}).get(name)
         if current_entry is None:
             failures.append(f"{name}: missing from artifact")
@@ -97,85 +91,46 @@ def check(artifact_path: Path, baseline_path: Path, tolerance: float) -> int:
     return 0
 
 
-def check_engine(artifact_path: Path, baseline_path: Path,
-                 tolerance: float) -> int:
+def check_campaign(artifact_path: Path) -> int:
+    if not artifact_path.exists():
+        print(f"\n{artifact_path} is missing: run "
+              "benchmarks/test_campaign_scaling.py first", file=sys.stderr)
+        return 1
     artifact = json.loads(artifact_path.read_text())
-    baseline = json.loads(baseline_path.read_text())
-    cpus = int(artifact.get("available_cpus", 1))
-    ratios = artifact.get("ratios", {})
-    jobs = artifact.get("jobs", {})
+    cpus = int(artifact["available_cpus"])
+    speedup = float(artifact["wall_speedup"])
+    cpu_ratio = float(artifact["cpu_ratio"])
+    print(f"\ncampaign pool, jobs=2 vs jobs=1 (measured with {cpus} CPU(s)):")
+    for jobs, side in sorted(artifact["jobs"].items()):
+        print(f"  jobs={jobs}  wall {side['wall_s']:6.2f} s  "
+              f"cpu {side['cpu_s']:6.2f} s")
+    if cpus < 2:
+        print(f"  wall speedup {speedup:5.2f}x, cpu ratio {cpu_ratio:5.2f} "
+              "(bars skipped: single CPU)")
+        return 0
+    speedup_ok = speedup >= CAMPAIGN_WALL_SPEEDUP_FLOOR
+    cpu_ok = cpu_ratio <= CAMPAIGN_CPU_RATIO_CEILING
+    print(f"  wall speedup {speedup:5.2f}x  floor "
+          f"{CAMPAIGN_WALL_SPEEDUP_FLOOR:.2f}x  "
+          f"{'OK' if speedup_ok else 'REGRESSED'}")
+    print(f"  cpu ratio    {cpu_ratio:5.2f}   ceiling "
+          f"{CAMPAIGN_CPU_RATIO_CEILING:.2f}   "
+          f"{'OK' if cpu_ok else 'REGRESSED'}")
     failures: List[str] = []
-
-    print(f"\nengine jobs sweep (measured with {cpus} CPU(s)):")
-    for key, entry in sorted(jobs.items(), key=lambda kv: int(kv[0])):
-        rate = float(entry["sequences_per_second"])
-        print(f"  jobs={key:<2s} {entry['mode']:<10s} {rate:8.1f} seq/s")
-
-    # Hardware-conditional scaling floors (the acceptance criterion).
-    r2 = float(ratios.get("jobs2_vs_jobs1", 0.0))
-    r4 = float(ratios.get("jobs4_vs_jobs2", 0.0))
-    if cpus >= 2:
-        status = "OK" if r2 >= ENGINE_JOBS2_FLOOR else "REGRESSED"
-        print(f"  jobs2/jobs1 {r2:5.2f}x  floor {ENGINE_JOBS2_FLOOR:.2f}x  {status}")
-        if r2 < ENGINE_JOBS2_FLOOR:
-            failures.append(
-                f"engine: jobs=2 warm-pool rate is {r2:.2f}x serial "
-                f"(< {ENGINE_JOBS2_FLOOR}x) on a {cpus}-CPU host")
-    else:
-        print(f"  jobs2/jobs1 {r2:5.2f}x  (floor skipped: single CPU)")
-    if cpus >= 4:
-        status = "OK" if r4 >= ENGINE_JOBS4_FLOOR else "REGRESSED"
-        print(f"  jobs4/jobs2 {r4:5.2f}x  floor {ENGINE_JOBS4_FLOOR:.2f}x  {status}")
-        if r4 < ENGINE_JOBS4_FLOOR:
-            failures.append(
-                f"engine: jobs=4 rate is {r4:.2f}x jobs=2 "
-                f"(< {ENGINE_JOBS4_FLOOR}x) on a {cpus}-CPU host")
-    else:
-        print(f"  jobs4/jobs2 {r4:5.2f}x  (floor skipped: < 4 CPUs)")
-
-    # The adaptive engine must never grossly invert: the planner can
-    # always fall back to serial, so a big adaptive slowdown is a bug
-    # regardless of core count.
-    serial_rate = float(jobs.get("1", {}).get("sequences_per_second", 0.0))
-    inversion_floor = 1.0 - 2.0 * tolerance
-    for key, entry in sorted(jobs.items(), key=lambda kv: int(kv[0])):
-        adaptive = entry.get("adaptive_sequences_per_second")
-        if adaptive is None or serial_rate <= 0:
-            continue
-        ratio = float(adaptive) / serial_rate
-        status = "OK" if ratio >= inversion_floor else "REGRESSED"
-        print(f"  adaptive jobs={key} {ratio:5.2f}x serial  "
-              f"floor {inversion_floor:.2f}x  {status}")
-        if ratio < inversion_floor:
-            failures.append(
-                f"engine: adaptive jobs={key} rate is {ratio:.2f}x serial "
-                f"(< {inversion_floor:.2f}x) — the planner is inverting")
-
-    # Ratio-vs-baseline drift, only on like-for-like hardware.
-    base_cpus = int(baseline.get("available_cpus", 1))
-    if base_cpus == cpus:
-        for name, current in (("jobs2_vs_jobs1", r2), ("jobs4_vs_jobs2", r4)):
-            base = baseline.get("ratios", {}).get(name)
-            if base is None:
-                continue
-            floor = (1.0 - tolerance) * float(base)
-            status = "OK" if current >= floor else "REGRESSED"
-            print(f"  {name} baseline {float(base):5.2f}x  current "
-                  f"{current:5.2f}x  floor {floor:5.2f}x  {status}")
-            if current < floor:
-                failures.append(
-                    f"engine: {name} ratio {current:.2f}x fell below "
-                    f"{floor:.2f}x (baseline {float(base):.2f}x)")
-    else:
-        print(f"  baseline comparison skipped: baseline measured with "
-              f"{base_cpus} CPU(s), artifact with {cpus}")
-
+    if not speedup_ok:
+        failures.append(
+            f"campaign: jobs=2 wall speedup {speedup:.2f}x is below "
+            f"{CAMPAIGN_WALL_SPEEDUP_FLOOR:.2f}x on a {cpus}-CPU host")
+    if not cpu_ok:
+        failures.append(
+            f"campaign: jobs=2 uses {cpu_ratio:.2f}x the CPU of jobs=1 "
+            f"(> {CAMPAIGN_CPU_RATIO_CEILING:.2f}x) on a {cpus}-CPU host")
     if failures:
-        print("\nEngine throughput regression detected:", file=sys.stderr)
+        print("\nCampaign-pool regression detected:", file=sys.stderr)
         for failure in failures:
             print(f"  - {failure}", file=sys.stderr)
         return 1
-    print("Engine jobs sweep within tolerance.")
+    print("Campaign-pool scaling within its bars.")
     return 0
 
 
@@ -183,19 +138,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--artifact", type=Path, default=DEFAULT_ARTIFACT)
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
-    parser.add_argument("--engine-artifact", type=Path,
-                        default=DEFAULT_ENGINE_ARTIFACT)
-    parser.add_argument("--engine-baseline", type=Path,
-                        default=DEFAULT_ENGINE_BASELINE)
+    parser.add_argument("--campaign-artifact", type=Path,
+                        default=DEFAULT_CAMPAIGN_ARTIFACT)
     parser.add_argument("--tolerance", type=float, default=0.25)
     args = parser.parse_args()
     status = check(args.artifact, args.baseline, args.tolerance)
-    if args.engine_baseline.exists():
-        status = check_engine(args.engine_artifact, args.engine_baseline,
-                              args.tolerance) or status
-    else:  # pragma: no cover - pre-baseline bootstrap
-        print("\n(no committed engine baseline; engine gate skipped)")
-    return status
+    return check_campaign(args.campaign_artifact) or status
 
 
 if __name__ == "__main__":

@@ -66,13 +66,13 @@ def _fresh_bench_substrate_artifact():
     """Start every benchmark session from empty BENCH_*.json artifacts.
 
     Entries are merged into the artifacts by whichever benchmark files run
-    (substrate speedups, engine throughput), so they must be cleared once
+    (substrate speedups, campaign-pool scaling), so they must be cleared once
     per session — regardless of file ordering — to guarantee every entry
     comes from *this* run.  A partial rerun then leaves untested paths
     missing from the artifact, which ``check_perf_regression.py`` reports
     loudly, instead of silently re-validating stale numbers.
     """
-    for name in ("BENCH_substrate.json", "BENCH_engine.json"):
+    for name in ("BENCH_substrate.json", "BENCH_campaign.json"):
         path = ARTIFACT_DIR / name
         if path.exists():
             path.unlink()

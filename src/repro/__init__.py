@@ -16,9 +16,9 @@ The package is organised in layers, bottom-up:
 * :mod:`repro.bo` — BOiLS itself (Algorithm 2) and standard BO (SBO).
 * :mod:`repro.baselines` — random search, greedy, genetic algorithm and
   reinforcement-learning baselines (A2C, PPO, Graph-RL).
-* :mod:`repro.engine` — the parallel execution layer: worker-pool batch
-  evaluation, the persistent on-disk QoR cache and the parallel
-  (method × circuit × seed) grid runner.
+* :mod:`repro.engine` — the execution layer: the (method × circuit ×
+  seed) cell runner and its warm worker pool, the persistent on-disk
+  QoR cache and fault tolerance.
 * :mod:`repro.registry` — decorator-based, entry-point-extensible
   registries for optimisers, objectives and circuits.
 * :mod:`repro.api` — the declarative public surface: ``Problem`` /

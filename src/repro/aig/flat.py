@@ -5,9 +5,8 @@ its PI/PO metadata; :func:`decode_aig` rebuilds the graph with
 :meth:`repro.aig.graph.AIG.from_flat_arrays` — an O(num_vars) copy with
 no structural hashing.  The round trip is bit-identical: same node
 order, structural-hashing table, names and fingerprint.  This is the
-one AIG byte format of the package: the engine publishes it through
-shared memory (:mod:`repro.engine.shm`) and the native backend keeps
-memoised synthesis states in it (:mod:`repro.qor.backends.native`).
+one AIG byte format of the package: the native backend keeps memoised
+synthesis states in it (:mod:`repro.qor.backends.native`).
 
 Layout (little-endian)::
 

@@ -432,7 +432,7 @@ class AIG:
         return self.copy_with()
 
     # ------------------------------------------------------------------
-    # Flat-array reconstruction (shared-memory hand-off)
+    # Flat-array reconstruction (the repro.aig.flat codec)
     # ------------------------------------------------------------------
     @classmethod
     def from_flat_arrays(

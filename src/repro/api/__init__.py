@@ -37,7 +37,6 @@ from repro.engine.faults import (
     EngineFaultError,
     FaultEvent,
     FaultPlan,
-    PoisonInputError,
     PoolUnrecoverableError,
     RetryPolicy,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "IncumbentImproved",
-    "PoisonInputError",
     "PoolUnrecoverableError",
     "RetryPolicy",
     "RoundCompleted",

@@ -6,9 +6,10 @@
 expands a :class:`~repro.api.campaign.Campaign` into cells, skips any
 cell that already has a completed record in the
 :class:`~repro.api.store.CampaignStore`, dispatches the rest serially or
-across a process pool (reusing the engine's campaign workers —
-``jobs=N`` is bit-identical to ``jobs=1``), and persists each finished
-cell atomically.
+across a process pool (``jobs`` cells in flight — ``jobs=N`` is
+bit-identical to ``jobs=1``), and persists each finished cell
+atomically.  :func:`run_problem` is the same driver on a one-cell
+campaign.
 
 The execution core is *round-granular*: workers stream typed
 :class:`~repro.bo.base.RunEvent` summaries back to the parent as each
@@ -48,8 +49,7 @@ from repro.api.problem import Problem
 from repro.api.store import CampaignStore, RunRecord
 from repro.bo.base import OptimisationResult
 from repro.engine import faults, worker
-from repro.engine.engine import EvaluationEngine, resolve_jobs
-from repro.engine.pool import WarmPool
+from repro.engine.pool import WarmPool, resolve_jobs
 from repro.engine.worker import build_cell_payload
 from repro.engine.faults import (
     DeadlineExceeded,
@@ -521,27 +521,17 @@ def run_problem(
 ) -> OptimisationResult:
     """Run one optimiser on one problem — the five-line quickstart path.
 
-    ``overrides`` are constructor keyword arguments for the chosen
-    method (e.g. ``num_initial=5`` for BOiLS), applied on top of its
-    registered grid defaults.
+    A one-cell :func:`run_campaign` with no store.  ``overrides`` are
+    constructor keyword arguments for the chosen method (e.g.
+    ``num_initial=5`` for BOiLS), applied on top of its registered grid
+    defaults.  ``jobs`` means cells in flight, as everywhere; a single
+    cell always runs in-process, so every valid ``jobs`` gives the same
+    result and starts no pool.  A cell that fails raises
+    :class:`RuntimeError` naming the cell and its error.
     """
     # Imported here: repro.experiments.runner imports repro.api.
-    from repro.engine.cache import PersistentQoRCache
-    from repro.experiments.runner import make_optimiser
+    from repro.experiments.runner import run_experiment
 
-    problem = problem.validate()
-    spec = problem.evaluator_spec()
-    cache = PersistentQoRCache(cache_dir) if cache_dir else None
-    try:
-        evaluator = spec.build_evaluator(persistent_cache=cache)
-        optimiser = make_optimiser(method, space=problem.space(), seed=seed,
-                                   **overrides)
-        with EvaluationEngine(spec, jobs=resolve_jobs(jobs),
-                              evaluator=evaluator) as engine:
-            evaluator.attach_engine(engine)
-            result = optimiser.optimise(evaluator, budget=budget)
-        result.circuit = spec.circuit
-        return result
-    finally:
-        if cache is not None:
-            cache.close()
+    campaign = Campaign.single(problem.validate(), method, seed=seed,
+                               budget=budget, **overrides)
+    return run_experiment(campaign, jobs=jobs, cache_dir=cache_dir)[0]

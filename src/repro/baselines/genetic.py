@@ -10,8 +10,7 @@ budget-limited study would run the original package.
 
 The GA is a natural batch optimiser: each generation's population (or
 offspring pool) is proposed through :meth:`GeneticAlgorithm.suggest` and
-scored in one :meth:`~repro.qor.QoREvaluator.evaluate_many` call, which
-an attached :class:`repro.engine.EvaluationEngine` evaluates in parallel.
+scored in one :meth:`~repro.qor.QoREvaluator.evaluate_many` call.
 """
 
 from __future__ import annotations

@@ -12,9 +12,7 @@ The solver implements the batch protocol
 (:meth:`~repro.bo.base.SequenceOptimiser.suggest` /
 :meth:`~repro.bo.base.SequenceOptimiser.observe`): all candidate
 extensions of the current position are proposed as one batch and scored
-through :meth:`~repro.qor.QoREvaluator.evaluate_many`, so an attached
-:class:`repro.engine.EvaluationEngine` fans the position out across
-worker processes.  Ties are broken by candidate order exactly as the
+through one :meth:`~repro.qor.QoREvaluator.evaluate_many` call.  Ties are broken by candidate order exactly as the
 sequential loop did, so the constructed sequence is identical.
 """
 

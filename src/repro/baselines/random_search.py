@@ -9,9 +9,7 @@ operations evenly over every sequence position.
 
 Random search is fully batch-capable: every draw is independent, so the
 whole budget is proposed through :meth:`RandomSearch.suggest` and scored
-in one :meth:`~repro.qor.QoREvaluator.evaluate_many` call — which an
-attached :class:`repro.engine.EvaluationEngine` fans out across worker
-processes.
+in one :meth:`~repro.qor.QoREvaluator.evaluate_many` call.
 """
 
 from __future__ import annotations

@@ -26,10 +26,8 @@ class A2COptimiser(SequenceOptimiser):
     episode with the current policy and returns its sequence, and
     :meth:`observe` performs the A2C update for that episode.  Completed
     sequences are registered through
-    :meth:`~repro.qor.QoREvaluator.evaluate_many`, so an attached
-    :class:`repro.engine.EvaluationEngine` scores them in the worker
-    pool.  (A2C updates after every episode, so its batches are single
-    episodes by construction.)
+    :meth:`~repro.qor.QoREvaluator.evaluate_many`.  (A2C updates after
+    every episode, so its batches are single episodes by construction.)
     """
 
     name = "DRiLLS (A2C)"

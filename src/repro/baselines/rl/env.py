@@ -52,7 +52,7 @@ class SynthesisEnvironment:
         self.auto_register = auto_register
         self.mapper: LutMapper = evaluator.mapper
         self._initial_aig = evaluator.aig
-        self._initial_stats = self._initial_aig.stats()
+        self._start_stats = self._initial_aig.stats()
         initial_mapping = evaluator.initial_result
         self._initial_area = max(1, initial_mapping.area)
         self._initial_delay = max(1, initial_mapping.delay)
@@ -120,8 +120,8 @@ class SynthesisEnvironment:
         stats = self._current_aig.stats()
         mapping = self.mapper.map(self._current_aig)
         base = [
-            stats["ands"] / max(1, self._initial_stats["ands"]),
-            stats["levels"] / max(1, self._initial_stats["levels"]),
+            stats["ands"] / max(1, self._start_stats["ands"]),
+            stats["levels"] / max(1, self._start_stats["levels"]),
             mapping.area / self._initial_area,
             mapping.delay / self._initial_delay,
             self._current_qor / self.evaluator.reference_qor,

@@ -9,13 +9,10 @@ implementations of one first-class protocol:
   for a previously suggested batch.
 
 The budget loop itself lives in exactly one place, the generic
-:func:`drive` driver: it asks, scores every batch through
-:meth:`QoREvaluator.evaluate_many` (which dispatches uncached work to an
-attached :class:`repro.engine.EvaluationEngine` worker pool — the same
-optimiser code runs serially or in parallel, with identical results),
-tells, and repeats until the evaluation budget is exhausted, the
-optimiser has nothing left to propose, a callback stops the run early or
-a wall-clock budget expires.
+:func:`drive` driver: it asks, scores every batch in-process through
+:meth:`QoREvaluator.evaluate_many`, tells, and repeats until the
+evaluation budget is exhausted, the optimiser has nothing left to
+propose, a callback stops the run early or a wall-clock budget expires.
 
 :meth:`SequenceOptimiser.optimise` is a convenience wrapper over
 :func:`drive`: it calls the :meth:`SequenceOptimiser.prepare` hook,
@@ -268,8 +265,8 @@ def drive(
 
     1. *ask* — ``optimiser.suggest(remaining_budget)``;
     2. *score* — the batch goes through
-       :meth:`QoREvaluator.evaluate_many` (parallel when an engine is
-       attached), with ``-1`` padding sentinels stripped;
+       :meth:`QoREvaluator.evaluate_many`, with ``-1`` padding
+       sentinels stripped;
     3. *tell* — ``optimiser.observe(rows, records)``;
     4. repeat while budget remains, stopping early when the optimiser
        proposes nothing (search space or construction exhausted), the
@@ -538,8 +535,7 @@ class SequenceOptimiser(ABC):
     ) -> List[SequenceEvaluation]:
         """Evaluate a batch of integer-encoded sequences positionally.
 
-        Goes through :meth:`QoREvaluator.evaluate_many`, so uncached work
-        runs on the evaluator's attached engine (if any) and accounting
+        Goes through :meth:`QoREvaluator.evaluate_many`, so accounting
         matches the equivalent sequence of single evaluations exactly.
         ``-1`` padding sentinels (variable-length proposals, see
         :meth:`suggest`) are stripped before conversion.

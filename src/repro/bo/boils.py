@@ -17,11 +17,10 @@ The solver implements the batch protocol
 :meth:`~repro.bo.base.SequenceOptimiser.observe`): the random initial
 design is proposed as one batch, and each acquisition round proposes up
 to ``batch_size`` distinct local-search candidates.  All proposals are
-scored through :meth:`~repro.qor.QoREvaluator.evaluate_many`, so an
-attached :class:`repro.engine.EvaluationEngine` evaluates the initial
-design (and any acquisition batch) across worker processes.  With the
-default ``batch_size=1`` the optimisation trace is identical to the
-paper's sequential algorithm.
+scored through :meth:`~repro.qor.QoREvaluator.evaluate_many`, one call
+per batch.  With the default ``batch_size=1`` the optimisation trace is
+identical to the paper's sequential algorithm; parallelism comes from
+running many cells at once, not from splitting a batch.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class BOiLS(SequenceOptimiser):
         Black-box evaluations proposed per acquisition round.  ``1``
         reproduces the paper's sequential Algorithm 2; larger values run
         extra local-search restarts per round and score the resulting
-        distinct candidates as one parallel batch.
+        distinct candidates as one batch.
     refit_gate:
         Opt-in :class:`repro.gp.optim.RefitGate`: once the decay
         hyperparameters have converged (successive refits each move every

@@ -12,9 +12,9 @@ The solver implements the batch protocol
 (:meth:`~repro.bo.base.SequenceOptimiser.suggest` /
 :meth:`~repro.bo.base.SequenceOptimiser.observe`): the random initial
 design is proposed as one batch and each acquisition round proposes up to
-``batch_size`` distinct candidates from the scored pool, so an attached
-:class:`repro.engine.EvaluationEngine` evaluates whole batches across
-worker processes.  With the default ``batch_size=1`` the optimisation
+``batch_size`` distinct candidates from the scored pool, each batch
+scored in one :meth:`~repro.qor.QoREvaluator.evaluate_many` call.  With
+the default ``batch_size=1`` the optimisation
 trace matches the sequential algorithm.  Rounds that do not refit the
 kernel hyperparameters condition the GP incrementally
 (:meth:`repro.gp.GaussianProcess.update_or_fit`).

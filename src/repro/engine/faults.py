@@ -6,7 +6,7 @@ module supplies the shared vocabulary used across the engine and the
 campaign driver:
 
 * a typed error hierarchy (:class:`DeadlineExceeded`,
-  :class:`PoisonInputError`, :class:`PoolUnrecoverableError`, ...),
+  :class:`PoolUnrecoverableError`, ...),
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* jitter (hash-derived, no RNG state), plus the
   retryable-vs-fatal error classification,
@@ -41,7 +41,6 @@ __all__ = [
     "EngineFaultError",
     "DeadlineExceeded",
     "PoolUnrecoverableError",
-    "PoisonInputError",
     "FaultInjected",
     "InjectedCrash",
     "RetryPolicy",
@@ -81,22 +80,6 @@ class PoolUnrecoverableError(EngineFaultError):
     """The worker pool kept dying past the rebuild budget — infra failure."""
 
 
-class PoisonInputError(EngineFaultError):
-    """One input failed/timed out on every attempt — quarantine material."""
-
-    def __init__(self, sequence: Optional[Tuple[str, ...]], attempts: int,
-                 cause: Optional[BaseException] = None) -> None:
-        label = "|".join(sequence) if sequence else "<unknown>"
-        super().__init__(
-            f"input {label} failed {attempts} consecutive attempts: {cause}")
-        self.sequence = tuple(sequence) if sequence else None
-        self.attempts = attempts
-        self.cause = cause
-
-    def __reduce__(self) -> Tuple[type, Tuple[object, ...]]:
-        return (type(self), (self.sequence, self.attempts, self.cause))
-
-
 class FaultInjected(EngineFaultError):
     """Base class for errors raised by the fault-injection harness."""
 
@@ -123,8 +106,9 @@ _RETRYABLE_TYPES: Tuple[type, ...] = (
 class RetryPolicy:
     """Bounded retry with exponential backoff and deterministic jitter.
 
-    ``max_attempts`` counts *total* tries of one unit of work (cell or
-    evaluation); once exhausted the input is poison/quarantine material.
+    ``max_attempts`` counts *total* tries of one unit of work (a cell,
+    or a persistent-cache operation); a cell that exhausts it is
+    quarantined.
     ``max_pool_rebuilds`` bounds how many times a crashed process pool is
     rebuilt before the whole run is declared unrecoverable.
 
@@ -169,7 +153,7 @@ class RetryPolicy:
         """
         # BrokenProcessPool imports lazily to keep this module light.
         from concurrent.futures.process import BrokenProcessPool
-        if isinstance(error, (PoolUnrecoverableError, PoisonInputError)):
+        if isinstance(error, PoolUnrecoverableError):
             return False
         return isinstance(error, _RETRYABLE_TYPES + (BrokenProcessPool,))
 
@@ -434,7 +418,7 @@ _CACHE_OP_COUNTS: Dict[Tuple[str, int], int] = {}
 
 
 def activate(cell_id: str, attempt: int, *, hard_crash: bool) -> None:
-    """Enter an injection context (one cell attempt, or a pool epoch).
+    """Enter an injection context for one cell attempt.
 
     ``hard_crash`` selects how a crash event manifests: ``os._exit`` in
     pool workers (producing a real ``BrokenProcessPool`` upstream) vs a

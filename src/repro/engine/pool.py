@@ -1,14 +1,14 @@
 """Warm process pools: the one sanctioned ProcessPoolExecutor owner.
 
-The engine/api layer has two parallel paths: batch evaluation inside
-one run (:class:`~repro.engine.engine.EvaluationEngine`) and campaign
-cells (:func:`repro.api.run.run_campaign`, which every experiment grid
-goes through).  Each owns one ``WarmPool``: a single executor kept
-across batches, rounds and cells instead of a fresh
-``ProcessPoolExecutor`` per call site, which used to make parallel runs
-slower than serial ones.  ``WarmPool`` exposes the two operations
-supervision needs: lazy (re)build and epoch-bumping recycle after a
-crash or deadline kill.
+The package has one parallel path: campaign cells in flight
+(:func:`repro.api.run.run_campaign`, which every grid, study and
+:func:`repro.api.run_problem` goes through).  It owns one ``WarmPool``:
+a single executor kept across cells instead of a fresh
+``ProcessPoolExecutor`` per call site, so workers keep their evaluators
+and cache connection for a whole campaign.  ``WarmPool`` exposes the two
+operations supervision needs: lazy (re)build and epoch-bumping recycle
+after a crash or deadline kill.  :func:`resolve_jobs` normalises the
+``jobs`` value that sizes it.
 
 Lint rule RPL008 flags direct ``ProcessPoolExecutor`` construction in
 ``repro/engine``/``repro/api``; this module is the allowlisted home.
@@ -16,8 +16,18 @@ Lint rule RPL008 flags direct ``ProcessPoolExecutor`` construction in
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Optional, Tuple
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalise a ``--jobs`` value: ``None``/``0`` means all CPUs."""
+    if jobs is None or jobs == 0:
+        return max(1, os.cpu_count() or 1)
+    if jobs < 0:
+        raise ValueError("jobs must be >= 0 (0 = all CPUs)")
+    return int(jobs)
 
 
 def terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -37,14 +47,14 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class WarmPool:
-    """A persistent worker pool that survives batches and heals by epoch.
+    """A persistent worker pool that survives cells and heals by epoch.
 
     The executor is built lazily on first :meth:`executor` call and then
     reused until :meth:`recycle` (crash recovery — kills the workers,
     bumps the epoch so the next build re-initialises them) or
     :meth:`close`.  ``initargs_for`` receives the current epoch so worker
     initialisers can key fault-injection schedules and diagnostics to the
-    pool generation, matching the supervised engine's retry semantics.
+    pool generation.
     """
 
     def __init__(
@@ -93,8 +103,7 @@ class WarmPool:
         """Kill the current workers and advance the epoch.
 
         The next :meth:`executor` call rebuilds with fresh workers whose
-        initialiser sees the new epoch — warm state (shared-memory
-        segments, parent-side caches) is re-established, not lost.
+        initialiser sees the new epoch and re-establishes warm state.
         """
         if self._pool is not None:
             terminate_pool(self._pool)
@@ -118,4 +127,4 @@ class WarmPool:
         self.close()
 
 
-__all__ = ["WarmPool", "terminate_pool"]
+__all__ = ["WarmPool", "resolve_jobs", "terminate_pool"]

@@ -5,8 +5,8 @@ to regenerate but expensive to serialise, and the structural-hashing
 tables inside :class:`repro.aig.graph.AIG` make pickles large.  Instead a
 tiny :class:`EvaluatorSpec` (circuit name + width + LUT size + reference
 flow) crosses the process boundary and each worker rebuilds its own
-circuit, mapper and :class:`repro.qor.QoREvaluator` exactly once, in its
-pool initialiser.
+circuit, mapper and :class:`repro.qor.QoREvaluator` once, on the first
+cell that needs it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.circuits.registry import get_circuit, get_circuit_spec, resolve_width
-from repro.engine import faults, shm
+from repro.engine import faults
 from repro.qor.backends import DEFAULT_BACKEND_KEY, canonical_backend_spec
 from repro.qor.evaluator import QoREvaluator
 from repro.qor.objectives import DEFAULT_OBJECTIVE_KEY, canonical_spec_string
@@ -68,17 +68,6 @@ class EvaluatorSpec:
         Canonical-JSON :class:`~repro.engine.faults.FaultPlan` for
         deterministic fault injection, or ``None``.  A string (not the
         object) so the spec stays hashable and cheap to pickle.
-    shared_aig:
-        Optional :class:`~repro.engine.shm.SharedAIGHandle` naming a
-        shared-memory segment that already holds the circuit's flat
-        arrays.  Workers attach it instead of rebuilding/re-parsing the
-        circuit; a vanished segment degrades to the cold path above.
-    reference_stats / initial_stats:
-        Optional ``(area, delay)`` integer pairs measured by the parent's
-        evaluator.  When present the worker-side evaluator skips the
-        expensive reference-flow and initial mappings — both are
-        deterministic functions of the circuit, so hand-off is
-        bit-identity safe.
     """
 
     circuit: str
@@ -91,17 +80,12 @@ class EvaluatorSpec:
     circuit_hash: Optional[str] = None
     eval_timeout: Optional[float] = None
     fault_plan: Optional[str] = None
-    shared_aig: Optional["shm.SharedAIGHandle"] = None
-    reference_stats: Optional[Tuple[int, int]] = None
-    initial_stats: Optional[Tuple[int, int]] = None
 
     def identity_key(self) -> Tuple[object, ...]:
         """Key identifying the evaluator this spec builds.
 
-        Excludes transport-only fields (``shared_aig``,
-        ``reference_stats``/``initial_stats``) that change how the
-        evaluator is *constructed* but never what it computes — worker
-        caches keyed on this survive shm/warm-stat hand-off changes.
+        ``circuit_file`` is left out: the content hash, not the path,
+        says which circuit a file-backed spec builds.
         """
         return (
             self.circuit,
@@ -148,24 +132,7 @@ class EvaluatorSpec:
     ) -> QoREvaluator:
         """Instantiate the circuit and its evaluator from this spec."""
         cache_key = None
-        aig = None
-        reference_stats = self.reference_stats
-        initial_stats = self.initial_stats
-        if self.shared_aig is not None:
-            # Warm hand-off: attach the parent's published flat arrays.
-            # A vanished segment (engine closed, foreign host) falls
-            # through to the cold rebuild below — including dropping the
-            # piggybacked warm stats, which travel only with the shm
-            # fast path to keep the degraded path identical to a spec
-            # that never carried them.
-            aig = shm.attach_aig(self.shared_aig)
-            if aig is None:
-                reference_stats = None
-                initial_stats = None
-        if aig is not None:
-            if self.circuit_hash is not None:
-                cache_key = f"sha256:{self.circuit_hash}:lut{self.lut_size}"
-        elif self.circuit_file is not None:
+        if self.circuit_file is not None:
             # Load directly from the recorded path, verifying content:
             # the registry route would re-resolve (and silently accept a
             # changed file), and the content hash gives a persistent
@@ -186,8 +153,6 @@ class EvaluatorSpec:
             persistent_cache=persistent_cache,
             objective=self.objective,
             cache_key=cache_key,
-            reference_stats=reference_stats,
-            initial_stats=initial_stats,
             backend=self.backend,
         )
         guard = faults.build_compute_guard(self.fault_plan, self.eval_timeout)
@@ -211,11 +176,6 @@ class EvaluatorSpec:
             "circuit_hash": self.circuit_hash,
             "eval_timeout": self.eval_timeout,
             "fault_plan": self.fault_plan,
-            "shared_aig": (
-                self.shared_aig.to_payload() if self.shared_aig is not None else None
-            ),
-            "reference_stats": self.reference_stats,
-            "initial_stats": self.initial_stats,
         }
 
     @classmethod
@@ -225,9 +185,6 @@ class EvaluatorSpec:
         circuit_hash = payload.get("circuit_hash")
         eval_timeout = payload.get("eval_timeout")
         fault_plan = payload.get("fault_plan")
-        shared_aig = payload.get("shared_aig")
-        reference_stats = payload.get("reference_stats")
-        initial_stats = payload.get("initial_stats")
         return cls(
             circuit=str(payload["circuit"]),
             width=int(payload["width"]),  # type: ignore[arg-type]
@@ -239,19 +196,4 @@ class EvaluatorSpec:
             circuit_hash=str(circuit_hash) if circuit_hash is not None else None,
             eval_timeout=float(eval_timeout) if eval_timeout is not None else None,  # type: ignore[arg-type]
             fault_plan=str(fault_plan) if fault_plan is not None else None,
-            shared_aig=(
-                shm.SharedAIGHandle.from_payload(shared_aig)  # type: ignore[arg-type]
-                if shared_aig is not None
-                else None
-            ),
-            reference_stats=(
-                (int(reference_stats[0]), int(reference_stats[1]))  # type: ignore[index]
-                if reference_stats is not None
-                else None
-            ),
-            initial_stats=(
-                (int(initial_stats[0]), int(initial_stats[1]))  # type: ignore[index]
-                if initial_stats is not None
-                else None
-            ),
         )

@@ -1,12 +1,13 @@
-"""Worker-process entry points for the evaluation engine.
+"""Worker-process entry points for campaign cells.
 
-Pool workers hold per-process state in module globals: an evaluator
-rebuilt from the picklable :class:`repro.engine.spec.EvaluatorSpec`
-(AIGs never cross the pipe) and, for campaign cells, a small registry of
-evaluators keyed by circuit so the expensive ``resyn2`` reference mapping
-is computed once per worker rather than once per cell.  Everything in
-this module is importable at top level — a requirement for
-``multiprocessing`` pickling of the initialiser and task functions.
+Pool workers hold per-process state in module globals: a small registry
+of evaluators, each rebuilt from a picklable
+:class:`repro.engine.spec.EvaluatorSpec` (AIGs never cross the pipe) and
+keyed by circuit so the expensive ``resyn2`` reference mapping is
+computed once per worker rather than once per cell, plus the persistent
+cache connection.  Everything in this module is importable at top level
+— a requirement for ``multiprocessing`` pickling of the initialiser and
+task functions.
 
 :func:`run_campaign_cell` is the one cell runner behind every
 (method × circuit × seed) grid — ``repro run`` / ``resume`` and the
@@ -28,12 +29,12 @@ import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.engine import faults, shm
+from repro.engine import faults
 from repro.engine.cache import PersistentQoRCache
 from repro.engine.spec import EvaluatorSpec
 from repro.gp.blas import blas_threads
 from repro.qor.backends.native import synth_memo_stats
-from repro.qor.evaluator import QoREvaluator, SequenceEvaluation
+from repro.qor.evaluator import QoREvaluator
 
 if TYPE_CHECKING:  # import cycles: bo/api import this package
     from repro.api.store import CampaignStore
@@ -48,57 +49,14 @@ EventSink = Callable[[str, Dict[str, object]], None]
 #: instead of a raised exception.
 _IN_POOL = False
 
-# ----------------------------------------------------------------------
-# Batch-evaluation workers (EvaluationEngine pool)
-# ----------------------------------------------------------------------
-_BATCH_EVALUATOR: Optional[QoREvaluator] = None
-_EPOCH = 0
-
-
-def init_evaluation_worker(spec_payload: Dict[str, object],
-                           epoch: int = 0) -> None:
-    """Pool initialiser: rebuild the evaluator once per worker process.
-
-    ``epoch`` is the pool generation — it increments every time the
-    engine rebuilds a crashed pool, and doubles as the fault-injection
-    "attempt" key so a scheduled crash fires once per generation rather
-    than forever.
-    """
-    global _BATCH_EVALUATOR, _IN_POOL, _EPOCH
-    # The parent may have run serial campaign cells first, leaving an
-    # open cache connection in this module's cell globals; abandon anything
-    # inherited across fork before doing work in this process.
-    _discard_state_from_other_process()
-    _IN_POOL = True
-    _EPOCH = int(epoch)
-    spec = EvaluatorSpec.from_payload(spec_payload)
-    # cache=False: workers only run the pure compute path; memoisation and
-    # accounting live in the parent evaluator.  When the spec carries a
-    # shared-memory handle this attaches the parent's published arrays
-    # (warm path); otherwise it rebuilds cold.
-    _BATCH_EVALUATOR = spec.build_evaluator(cache=False)
-    if spec.fault_plan is not None or spec.eval_timeout is not None:
-        faults.activate("*", int(epoch), hard_crash=True)
-
-
-def evaluate_sequence(names: Tuple[str, ...]) -> SequenceEvaluation:
-    """Score one sequence in the worker's rebuilt evaluator (pure)."""
-    if _BATCH_EVALUATOR is None:  # pragma: no cover - defensive
-        raise RuntimeError("evaluation worker used before initialisation")
-    return _BATCH_EVALUATOR.compute(names)
-
 
 def worker_diagnostics() -> Dict[str, object]:
     """Introspection task for tests and the CLI: one worker's warm state."""
     return {
         "pid": os.getpid(),
-        "epoch": _EPOCH,
         "in_pool": _IN_POOL,
-        "batch_evaluator_ready": _BATCH_EVALUATOR is not None,
         "cell_evaluators": len(_CELL_EVALUATORS),
         "cell_evictions": _CELL_EVALUATORS.evictions,
-        "shm_attaches": shm.attach_count(),
-        "shm_fallbacks": shm.fallback_count(),
         # Diagnostic only: OpenBLAS threads by library (see repro.gp.blas).
         "blas_threads": blas_threads(),
         **synth_memo_stats(),
@@ -178,7 +136,6 @@ def _discard_state_from_other_process() -> None:
         _CELL_CACHE = None
         _CELL_CACHE_DIR = _UNSET
         _CELL_EVALUATORS.clear()
-        shm.reset_counters()
         _CELL_PID = os.getpid()
 
 

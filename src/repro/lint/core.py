@@ -112,11 +112,10 @@ class LintError(ValueError):
 #: so Python 3.10 — which has no ``tomllib`` — lints identically.
 DEFAULT_ALLOW: Dict[str, Tuple[str, ...]] = {
     # Wall-clock reads with no path into results: retry backoff and
-    # deadline supervision (faults/engine/run).  Event timestamps in
+    # deadline supervision (faults/run).  Event timestamps in
     # bo/base.py are suppressed inline instead, at their single source.
     "RPL002": (
         "repro/engine/faults.py",
-        "repro/engine/engine.py",
         "repro/api/run.py",
     ),
     # The sanctioned environment-access layer: the config module, the

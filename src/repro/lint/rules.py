@@ -723,7 +723,7 @@ class WarmPoolRule(LintRule):
     name = "warm-pool-only"
     rationale = ("Per-call ProcessPoolExecutor construction in the "
                  "engine/api hot paths re-pays process spin-up, spec "
-                 "pickling and circuit rebuild on every batch — the "
+                 "pickling and circuit rebuild on every call — the "
                  "parallelism-inversion bug class.  Pools must come from "
                  "the engine-owned repro.engine.pool.WarmPool accessor "
                  "(the allowlisted construction site).")
@@ -744,7 +744,7 @@ class WarmPoolRule(LintRule):
                     f"direct {dotted.rsplit('.', 1)[-1]} construction in an "
                     "engine/api hot path; obtain the pool from the "
                     "engine-owned WarmPool (repro.engine.pool) so workers "
-                    "stay warm across batches")
+                    "stay warm across cells")
 
 
 #: Stable listing used by the README rule table and the CLI.

@@ -34,12 +34,11 @@ accounting rules:
   :attr:`num_persistent_hits` expose the split, so a warm cache shows up
   as ``num_computed == 0`` on a repeated run.
 
-Batches of sequences can be scored through
-:meth:`QoREvaluator.evaluate_many`; when an
-:class:`repro.engine.EvaluationEngine` is attached via
-:meth:`attach_engine` the uncached part of the batch is fanned out to a
-worker pool, with results recorded in submission order so parallel and
-serial runs are indistinguishable.
+Batches of sequences are scored through
+:meth:`QoREvaluator.evaluate_many`, in-process and recorded in
+submission order, exactly like the equivalent sequence of
+:meth:`QoREvaluator.evaluate` calls.  Parallelism lives one level up, in
+the campaign driver, which runs whole cells in worker processes.
 """
 
 from __future__ import annotations
@@ -57,43 +56,6 @@ from repro.qor.backends.base import (
 from repro.qor.objectives import Objective, canonical_spec_string, resolve_objective
 from repro.synth.flows import RESYN2_SEQUENCE
 from repro.synth.operations import sequence_to_names
-
-
-def _validated_stats(
-    pair: Sequence[object], label: str, floor: int
-) -> Tuple[int, int]:
-    """Validate a transported ``(area, delay)`` hand-off pair.
-
-    Both transported stat pairs (``reference_stats``, ``initial_stats``)
-    must be length-2, integer-valued and non-negative; the reference
-    pair is additionally clamped to ≥ 1 (``floor=1``) because it forms
-    the denominators of Equation 1.  Malformed hand-offs raise
-    :class:`ValueError` loudly instead of computing garbage QoR.
-    """
-    try:
-        raw_area, raw_delay = pair
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{label} must be an (area, delay) pair, got {pair!r}"
-        ) from None
-    values: List[int] = []
-    for field_name, raw in (("area", raw_area), ("delay", raw_delay)):
-        try:
-            value = int(raw)  # type: ignore[call-overload]
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{label} {field_name} must be an integer, got {raw!r}"
-            ) from None
-        if value != raw:
-            raise ValueError(
-                f"{label} {field_name} must be integer-valued, got {raw!r}"
-            )
-        if value < 0:
-            raise ValueError(
-                f"{label} {field_name} must be non-negative, got {value}"
-            )
-        values.append(max(floor, value))
-    return values[0], values[1]
 
 
 @dataclass(frozen=True)
@@ -150,16 +112,6 @@ class QoREvaluator:
         scalar the optimisers minimise — an
         :class:`repro.qor.objectives.Objective` or its spec.  Defaults to
         the paper's Equation 1.
-    reference_stats / initial_stats:
-        Optional pre-measured ``(area, delay)`` pairs for the reference
-        flow and the unoptimised circuit.  When provided, the
-        corresponding mapping is skipped — warm pool workers receive the
-        parent evaluator's measurements through the spec so each worker
-        avoids re-running the reference synthesis flow.  Both mappings
-        are deterministic functions of the circuit, so the hand-off
-        cannot change any computed QoR value.  Both pairs are validated
-        (non-negative integers; the reference clamped ≥ 1) and malformed
-        hand-offs raise :class:`ValueError`.
     backend:
         The synthesis substrate measuring ``sequence -> (area, delay)``
         — a :class:`repro.qor.backends.SynthesisBackend` or its spec
@@ -178,8 +130,6 @@ class QoREvaluator:
         persistent_cache: Optional[object] = None,
         cache_key: Optional[str] = None,
         objective: Optional[object] = None,
-        reference_stats: Optional[Tuple[int, int]] = None,
-        initial_stats: Optional[Tuple[int, int]] = None,
         backend: Optional[object] = None,
     ) -> None:
         self.aig = aig
@@ -194,7 +144,6 @@ class QoREvaluator:
         self._cache: Dict[Tuple[str, ...], SequenceEvaluation] = {}
         self._persistent = persistent_cache
         self._cache_key = cache_key
-        self._engine: Optional[object] = None
         self._compute_guard: Optional[object] = None
         self._num_evaluations = 0
         self._num_computed = 0
@@ -207,25 +156,16 @@ class QoREvaluator:
         self.history: List[SequenceEvaluation] = []
 
         # Reference area/delay (denominators of Equation 1).
-        if reference_stats is not None:
-            self.reference_area, self.reference_delay = _validated_stats(
-                reference_stats, "reference_stats", floor=1)
-        else:
-            reference_area, reference_delay = self.backend.measure(
-                aig, self.reference_sequence, lut_size)
-            self.reference_area = max(1, int(reference_area))
-            self.reference_delay = max(1, int(reference_delay))
+        reference_area, reference_delay = self.backend.measure(
+            aig, self.reference_sequence, lut_size)
+        self.reference_area = max(1, int(reference_area))
+        self.reference_delay = max(1, int(reference_delay))
         # QoR of the reference itself (2.0 by construction for Equation 1);
         # the paper's "% improvement over resyn2" is measured against it.
         self.reference_qor = self.objective.reference_value()
 
         # Mapping of the unoptimised circuit, for Pareto plots ("init").
-        if initial_stats is not None:
-            initial_area, initial_delay = _validated_stats(
-                initial_stats, "initial_stats", floor=0)
-        else:
-            initial_area, initial_delay = self.backend.measure(
-                aig, (), lut_size)
+        initial_area, initial_delay = self.backend.measure(aig, (), lut_size)
         self.initial_result = QoRResult(
             area=int(initial_area),
             delay=int(initial_delay),
@@ -329,22 +269,6 @@ class QoREvaluator:
         return len(self._pending_writes)
 
     # ------------------------------------------------------------------
-    # Engine attachment
-    # ------------------------------------------------------------------
-    def attach_engine(self, engine: Optional[object]) -> None:
-        """Attach an evaluation engine used to score batches in parallel.
-
-        ``engine`` must expose ``compute_batch(sequences) -> records``
-        (see :class:`repro.engine.EvaluationEngine`); pass ``None`` to
-        detach and return to in-process computation.
-        """
-        self._engine = engine
-
-    @property
-    def engine(self) -> Optional[object]:
-        return self._engine
-
-    # ------------------------------------------------------------------
     # Core computation (pure, no recording)
     # ------------------------------------------------------------------
     def _qor_value(self, area: int, delay: int) -> float:
@@ -381,8 +305,7 @@ class QoREvaluator:
         """Synthesise + map a sequence and return its record.
 
         Pure function of the sequence: does **not** touch the caches,
-        the history or the evaluation counters.  This is the unit of work
-        the evaluation engine ships to worker processes.
+        the history or the evaluation counters.
         """
         names = tuple(sequence_to_names(sequence))
         if self._compute_guard is not None:
@@ -451,13 +374,13 @@ class QoREvaluator:
     def evaluate_many(
         self, sequences: Sequence[Sequence[Union[str, int]]]
     ) -> List[SequenceEvaluation]:
-        """Evaluate a batch of sequences, in parallel when possible.
+        """Evaluate a batch of sequences.
 
         Results are returned positionally and recorded (counters, history,
         caches) in submission order, so a batched run is indistinguishable
-        from the equivalent sequence of :meth:`evaluate` calls.  Uncached
-        sequences are dispatched to the attached engine's worker pool when
-        one is attached, and computed in-process otherwise.
+        from the equivalent sequence of :meth:`evaluate` calls.  The
+        persistent cache is consulted for the whole batch before any
+        uncached sequence is computed.
         """
         names_list = [tuple(sequence_to_names(seq)) for seq in sequences]
         results: List[Optional[SequenceEvaluation]] = [None] * len(names_list)
@@ -483,21 +406,8 @@ class QoREvaluator:
             else:
                 plan.append((position, names, "compute"))
 
-        to_compute = [names for _, names, source in plan if source == "compute"]
-        if to_compute:
-            if self._engine is not None:
-                computed = list(self._engine.compute_batch(to_compute))
-            else:
-                computed = [self.compute(names) for names in to_compute]
-            if len(computed) != len(to_compute):
-                raise RuntimeError(
-                    "engine returned %d records for %d sequences"
-                    % (len(computed), len(to_compute))
-                )
-        else:
-            computed = []
-
-        computed_iter = iter(computed)
+        computed_iter = iter([self.compute(names) for _, names, source in plan
+                              if source == "compute"])
         resolved: Dict[Tuple[str, ...], SequenceEvaluation] = {}
         for position, names, source in plan:
             if source == "alias":

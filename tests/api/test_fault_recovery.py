@@ -96,6 +96,32 @@ class TestRecoveryBitIdentical:
         clean = run_campaign(campaign, tmp_path / "clean", jobs=1)
         _assert_bit_identical(records, clean)
 
+    def test_pool_crash_recovery_matches_serial(self, tmp_path):
+        campaign = _campaign(seeds=(0, 1), budget=4)
+        plan = FaultPlan(events=(
+            FaultEvent(kind="crash", cell=_cell_ids(campaign)[1],
+                       attempt=0, at=1),))
+        records = run_campaign(campaign, tmp_path / "faulted", jobs=2,
+                               retry=ZERO_BACKOFF, fault_plan=plan,
+                               sleep=_no_sleep)
+        clean = run_campaign(campaign, tmp_path / "clean", jobs=1)
+        _assert_bit_identical(records, clean)
+
+    def test_serial_eval_timeout_recovery(self, tmp_path):
+        """A hung evaluation in an in-process cell (as ``run_problem`` runs)."""
+        campaign = _campaign(budget=4, eval_timeout=0.5)
+        plan = FaultPlan(events=(
+            FaultEvent(kind="hang", cell=_cell_ids(campaign)[0],
+                       attempt=0, at=1, duration=60.0),))
+        messages = []
+        records = run_campaign(campaign, tmp_path / "faulted", jobs=1,
+                               retry=ZERO_BACKOFF, fault_plan=plan,
+                               sleep=_no_sleep, progress=messages.append)
+        assert any("retry" in message and "evaluation exceeded" in message
+                   for message in messages), messages
+        clean = run_campaign(campaign, tmp_path / "clean", jobs=1)
+        _assert_bit_identical(records, clean)
+
     def test_serial_cell_timeout_recovery(self, tmp_path):
         campaign = _campaign(budget=4, cell_timeout=1.0)
         plan = FaultPlan(events=(
@@ -149,6 +175,21 @@ class TestQuarantine:
         assert quarantine["seed"] == 0
         assert set(quarantine) == {"circuit_hash", "sequence", "seed"}
         assert CampaignStore(store).quarantined_cell_ids() == {ids[0]}
+
+    def test_evaluation_that_always_hangs_is_quarantined(self, tmp_path):
+        campaign = _campaign(seeds=(0, 1), budget=4, eval_timeout=0.3)
+        ids = _cell_ids(campaign)
+        plan = FaultPlan(events=tuple(
+            FaultEvent(kind="hang", cell=ids[0], attempt=attempt, at=0,
+                       count=10_000, duration=60.0)
+            for attempt in range(2)))
+        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
+        records = run_campaign(campaign, tmp_path / "runs", jobs=2,
+                               retry=policy, fault_plan=plan,
+                               sleep=_no_sleep)
+        assert [record.status for record in records] == ["quarantined", "ok"]
+        assert records[0].metadata["attempts"] == policy.max_attempts
+        assert "DeadlineExceeded" in records[0].metadata["error"]
 
     def test_resume_skips_quarantined_until_opted_in(self, tmp_path):
         campaign = _campaign(seeds=(0, 1), budget=4)

@@ -8,7 +8,6 @@ from repro.baselines.rl import A2COptimiser, PPOOptimiser
 from repro.bo import BOiLS, SequenceSpace, StandardBO
 from repro.bo.base import SequenceOptimiser
 from repro.circuits import make_adder
-from repro.engine import EvaluationEngine, EvaluatorSpec
 from repro.qor import QoREvaluator
 
 
@@ -85,33 +84,6 @@ class TestManualDrive:
         optimiser.observe(rows2, records2)
         # Elitism: the best survivor never gets worse.
         assert float(np.max(optimiser._fitness)) >= best_fitness
-
-
-class TestEngineEquivalence:
-    """Batch path (engine attached) vs serial path: identical traces."""
-
-    @pytest.mark.parametrize("method_factory,kwargs", [
-        (RandomSearch, {}),
-        (GeneticAlgorithm, {}),
-        (BOiLS, {"num_initial": 3, "local_search_queries": 30, "adam_steps": 1}),
-    ])
-    def test_serial_vs_engine_backed(self, space, method_factory, kwargs):
-        spec = EvaluatorSpec.for_circuit("adder", width=4)
-        budget = 8
-
-        serial_evaluator = spec.build_evaluator()
-        serial = method_factory(space=space, seed=4, **kwargs).optimise(
-            serial_evaluator, budget=budget)
-
-        engine_evaluator = spec.build_evaluator()
-        with EvaluationEngine(spec, jobs=2) as engine:
-            engine_evaluator.attach_engine(engine)
-            batched = method_factory(space=space, seed=4, **kwargs).optimise(
-                engine_evaluator, budget=budget)
-
-        assert batched.history == serial.history
-        assert batched.best_sequence == serial.best_sequence
-        assert batched.num_evaluations == serial.num_evaluations
 
 
 class TestBOiLSBatchSize:

@@ -1,21 +1,22 @@
-"""Tests for the parallel evaluation engine and spec round-trips."""
+"""Tests for evaluator specs and the ``jobs`` normalisation."""
 
-import numpy as np
+import dataclasses
+import json
+
 import pytest
 
-from repro.baselines import RandomSearch
-from repro.bo.space import SequenceSpace
-from repro.engine import EvaluationEngine, EvaluatorSpec, resolve_jobs
+from repro.engine import EvaluatorSpec, faults, resolve_jobs
+from repro.engine.faults import (
+    DeadlineExceeded,
+    FaultEvent,
+    FaultPlan,
+    InjectedCrash,
+)
 
 
 @pytest.fixture(scope="module")
 def spec():
     return EvaluatorSpec.for_circuit("adder", width=4)
-
-
-@pytest.fixture(scope="module")
-def space():
-    return SequenceSpace(sequence_length=4)
 
 
 class TestSpec:
@@ -35,6 +36,68 @@ class TestSpec:
         assert evaluator.reference_area >= 1
         assert evaluator.lut_size == spec.lut_size
 
+    def test_payload_names_every_field(self, spec):
+        assert set(spec.to_payload()) == {
+            field.name for field in dataclasses.fields(EvaluatorSpec)}
+
+    def test_payload_roundtrip_with_every_option_set(self):
+        plan = FaultPlan(events=(FaultEvent(kind="crash", cell="c"),))
+        spec = dataclasses.replace(
+            EvaluatorSpec.for_circuit(
+                "sqrt", width=6, lut_size=4,
+                reference_sequence=("balance", "rewrite"), objective="area"),
+            eval_timeout=2.5, fault_plan=plan.to_json())
+        assert EvaluatorSpec.from_payload(spec.to_payload()) == spec
+
+    def test_payload_survives_json(self):
+        spec = EvaluatorSpec.for_circuit(
+            "adder", width=4, reference_sequence=("balance", "rewrite"))
+        payload = json.loads(json.dumps(spec.to_payload()))
+        assert EvaluatorSpec.from_payload(payload) == spec
+
+    def test_minimal_payload_takes_the_defaults(self):
+        assert (EvaluatorSpec.from_payload({"circuit": "adder", "width": 4})
+                == EvaluatorSpec.for_circuit("adder", width=4))
+
+    def test_identity_key_ignores_the_circuit_path(self, spec):
+        moved = dataclasses.replace(spec, circuit_file="/elsewhere/adder.aag")
+        assert moved.identity_key() == spec.identity_key()
+        assert (dataclasses.replace(spec, lut_size=4).identity_key()
+                != spec.identity_key())
+
+    def test_independent_builds_measure_the_same(self, spec):
+        first, second = spec.build_evaluator(), spec.build_evaluator()
+        assert ((first.reference_area, first.reference_delay)
+                == (second.reference_area, second.reference_delay))
+        assert first.initial_result == second.initial_result
+        assert (first.evaluate(["rewrite", "balance"])
+                == second.evaluate(["rewrite", "balance"]))
+
+    def test_fault_plan_reaches_the_built_evaluator(self, spec):
+        plan = FaultPlan(events=(FaultEvent(kind="crash", cell="c", at=0),))
+        guarded = dataclasses.replace(spec, fault_plan=plan.to_json())
+        evaluator = guarded.build_evaluator()
+        faults.activate("c", 0, hard_crash=False)
+        try:
+            with pytest.raises(InjectedCrash):
+                evaluator.evaluate(["rewrite"])
+        finally:
+            faults.deactivate()
+
+    def test_eval_timeout_reaches_the_built_evaluator(self, spec):
+        plan = FaultPlan(events=(
+            FaultEvent(kind="hang", cell="c", at=0, duration=30.0),))
+        guarded = dataclasses.replace(spec, fault_plan=plan.to_json(),
+                                      eval_timeout=0.05)
+        evaluator = guarded.build_evaluator()
+        faults.activate("c", 0, hard_crash=False)
+        try:
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                evaluator.evaluate(["rewrite"])
+        finally:
+            faults.deactivate()
+        assert excinfo.value.sequence == ("rewrite",)
+
 
 class TestResolveJobs:
     def test_explicit(self):
@@ -47,61 +110,3 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_jobs(-1)
-
-
-class TestComputeBatch:
-    def test_serial_matches_direct_compute(self, spec, space):
-        evaluator = spec.build_evaluator()
-        rows = space.sample(5, np.random.default_rng(0))
-        batch = [space.to_names(row) for row in rows]
-        with EvaluationEngine(spec, jobs=1, evaluator=evaluator) as engine:
-            records = engine.compute_batch(batch)
-        assert [r.sequence for r in records] == [tuple(names) for names in batch]
-        assert records == [evaluator.compute(names) for names in batch]
-        # Pure compute: the evaluator recorded nothing.
-        assert evaluator.num_evaluations == 0
-        assert evaluator.history == []
-
-    def test_parallel_matches_serial(self, spec, space):
-        rows = space.sample(6, np.random.default_rng(1))
-        batch = [space.to_names(row) for row in rows]
-        with EvaluationEngine(spec, jobs=1) as serial:
-            expected = serial.compute_batch(batch)
-        with EvaluationEngine(spec, jobs=2) as parallel:
-            assert parallel.compute_batch(batch) == expected
-
-    def test_empty_batch(self, spec):
-        with EvaluationEngine(spec, jobs=1) as engine:
-            assert engine.compute_batch([]) == []
-
-    def test_parallel_requires_spec(self, spec):
-        evaluator = spec.build_evaluator()
-        with pytest.raises(ValueError):
-            EvaluationEngine(jobs=2, evaluator=evaluator)
-        with pytest.raises(ValueError):
-            EvaluationEngine()
-
-
-class TestEngineBackedRuns:
-    def test_jobs1_vs_jobs2_identical_random_search(self, spec, space):
-        """The headline determinism guarantee of the subsystem."""
-        results = {}
-        for jobs in (1, 2):
-            evaluator = spec.build_evaluator()
-            with EvaluationEngine(spec, jobs=jobs, evaluator=evaluator) as engine:
-                evaluator.attach_engine(engine)
-                results[jobs] = RandomSearch(space=space, seed=5).optimise(
-                    evaluator, budget=8)
-        assert results[1].history == results[2].history
-        assert results[1].best_sequence == results[2].best_sequence
-        assert results[1].num_evaluations == results[2].num_evaluations == 8
-
-    def test_attached_engine_records_in_submission_order(self, spec, space):
-        evaluator = spec.build_evaluator()
-        rows = space.sample(6, np.random.default_rng(2))
-        batch = [space.to_names(row) for row in rows]
-        with EvaluationEngine(spec, jobs=2) as engine:
-            evaluator.attach_engine(engine)
-            records = evaluator.evaluate_many(batch)
-        assert [r.sequence for r in evaluator.history] == [r.sequence for r in records]
-        assert evaluator.num_evaluations == len(batch)

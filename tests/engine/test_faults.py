@@ -1,13 +1,13 @@
-"""Tests for the fault-tolerance primitives and the supervised engine.
+"""Tests for the fault-tolerance primitives.
 
 Covers the :mod:`repro.engine.faults` vocabulary (retry policy,
-deadlines, fault plans, injection hooks), the cache retry/degrade path,
-and the supervised :class:`EvaluationEngine` recovery loops at
-``jobs=2``.  No test sleeps to *wait* for a condition — every blocking
-wait is bounded by the deadline machinery under test.
+deadlines, fault plans, injection hooks) and the cache retry/degrade
+path.  The campaign driver's recovery loops are tested end to end in
+``tests/api/test_fault_recovery.py``.  No test sleeps to *wait* for a
+condition — every blocking wait is bounded by the deadline machinery
+under test.
 """
 
-import dataclasses
 import pickle
 import signal
 import sqlite3
@@ -15,18 +15,15 @@ import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
 import pytest
 
-from repro.bo.space import SequenceSpace
-from repro.engine import EvaluationEngine, EvaluatorSpec, PersistentQoRCache
+from repro.engine import PersistentQoRCache
 from repro.engine import faults
 from repro.engine.faults import (
     DeadlineExceeded,
     FaultEvent,
     FaultPlan,
     InjectedCrash,
-    PoisonInputError,
     PoolUnrecoverableError,
     RetryPolicy,
     build_cache_hook,
@@ -41,18 +38,6 @@ def _no_sleep(_seconds: float) -> None:
 
 #: Zero-backoff policy so recovery tests never sleep between retries.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
-
-
-@pytest.fixture(scope="module")
-def spec():
-    return EvaluatorSpec.for_circuit("adder", width=4)
-
-
-@pytest.fixture(scope="module")
-def batch():
-    space = SequenceSpace(sequence_length=3)
-    rows = space.sample(3, np.random.default_rng(0))
-    return [tuple(space.to_names(row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +76,6 @@ class TestRetryPolicy:
         fatal = [
             ValueError("optimiser bug"),
             RuntimeError("evaluator bug"),
-            PoisonInputError(("rewrite",), 3),
             PoolUnrecoverableError("gave up"),
         ]
         assert all(RetryPolicy.retryable(error) for error in retryable)
@@ -121,12 +105,6 @@ class TestErrorPickling:
         assert clone.scope == "cell"
         assert clone.timeout == 2.5
         assert clone.sequence == ("rewrite", "balance")
-
-    def test_poison_input_roundtrip(self):
-        error = PoisonInputError(("refactor",), 3, ValueError("cause"))
-        clone = pickle.loads(pickle.dumps(error))
-        assert clone.sequence == ("refactor",)
-        assert clone.attempts == 3
 
 
 # ---------------------------------------------------------------------------
@@ -390,61 +368,3 @@ class TestCacheRetryAndDegrade:
         cache.put("ck", ("b",), 2, 2)
         assert cache.get_many("ck", [("b",)]) == [(2, 2)]
         cache.close()
-
-
-# ---------------------------------------------------------------------------
-# Supervised EvaluationEngine (jobs=2, real process pools)
-# ---------------------------------------------------------------------------
-class TestSupervisedEngine:
-    def _expected(self, spec, batch):
-        with EvaluationEngine(spec, jobs=1) as engine:
-            return engine.compute_batch(batch)
-
-    def test_supervision_is_opt_in(self, spec):
-        with EvaluationEngine(spec, jobs=2) as engine:
-            assert not engine._supervised
-        with EvaluationEngine(spec, jobs=2, eval_timeout=1.0) as engine:
-            assert engine._supervised
-
-    def test_worker_crash_recovery_matches_serial(self, spec, batch):
-        plan = FaultPlan(events=(FaultEvent(kind="crash", at=0),), seed=1)
-        faulty = dataclasses.replace(spec, fault_plan=plan.to_json())
-        with EvaluationEngine(faulty, jobs=2, retry=FAST_RETRY,
-                              sleep=_no_sleep) as engine:
-            records = engine.compute_batch(batch)
-            assert engine._rebuilds >= 1
-        assert records == self._expected(spec, batch)
-
-    def test_hang_deadline_recovery_matches_serial(self, spec, batch):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="hang", at=0, duration=30.0),), seed=2)
-        faulty = dataclasses.replace(spec, fault_plan=plan.to_json())
-        with EvaluationEngine(faulty, jobs=2, eval_timeout=0.75,
-                              retry=FAST_RETRY, sleep=_no_sleep) as engine:
-            records = engine.compute_batch(batch)
-        assert records == self._expected(spec, batch)
-
-    def test_persistent_hang_becomes_poison_input(self, spec, batch):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="hang", at=0, count=10_000, duration=30.0),),
-            seed=3)
-        faulty = dataclasses.replace(spec, fault_plan=plan.to_json())
-        policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
-        with EvaluationEngine(faulty, jobs=2, eval_timeout=0.3,
-                              retry=policy, sleep=_no_sleep) as engine:
-            with pytest.raises(PoisonInputError) as excinfo:
-                engine.compute_batch(batch[:2])
-        assert excinfo.value.attempts == 2
-
-    def test_repeated_crashes_exhaust_rebuild_budget(self, spec, batch):
-        plan = FaultPlan(events=(
-            FaultEvent(kind="crash", attempt=0, at=0, count=10_000),
-            FaultEvent(kind="crash", attempt=1, at=0, count=10_000),
-        ), seed=4)
-        faulty = dataclasses.replace(spec, fault_plan=plan.to_json())
-        policy = RetryPolicy(max_attempts=10, backoff_base=0.0, jitter=0.0,
-                             max_pool_rebuilds=1)
-        with EvaluationEngine(faulty, jobs=2, retry=policy,
-                              sleep=_no_sleep) as engine:
-            with pytest.raises(PoolUnrecoverableError):
-                engine.compute_batch(batch)

@@ -126,7 +126,7 @@ class TestNativeBackend:
             small_adder, ("rewrite", "balance"), lut_size=6)
         assert (area, delay) == (record.area, record.delay)
 
-    def test_empty_sequence_is_initial_stats(self, small_adder):
+    def test_empty_sequence_is_initial_result(self, small_adder):
         evaluator = QoREvaluator(small_adder)
         area, delay = NativeBackend().measure(small_adder, (), lut_size=6)
         assert (area, delay) == (evaluator.initial_result.area,

@@ -97,6 +97,34 @@ class TestCachingAndHistory:
         evaluator.evaluate(["balance"])
         assert evaluator.num_evaluations == 0
 
+    def test_evaluate_many_records_in_submission_order(self, small_adder):
+        batch = [["rewrite"], ["balance"], ["rewrite"], ["fraig", "balance"]]
+        evaluator = QoREvaluator(small_adder)
+        evaluator.evaluate(["fraig", "balance"])  # memo hit inside the batch
+        records = evaluator.evaluate_many(batch)
+        one_by_one = QoREvaluator(small_adder)
+        one_by_one.evaluate(["fraig", "balance"])
+        assert records == [one_by_one.evaluate(names) for names in batch]
+        assert evaluator.history == one_by_one.history
+        assert [r.sequence for r in evaluator.history[1:]] == [
+            ("rewrite",), ("balance",)]
+        assert evaluator.num_evaluations == 3
+
+    def test_evaluate_many_empty_batch(self, small_adder):
+        evaluator = QoREvaluator(small_adder)
+        assert evaluator.evaluate_many([]) == []
+        assert evaluator.history == []
+        assert evaluator.num_evaluations == 0
+
+    def test_evaluate_many_without_cache_matches_evaluate(self, small_adder):
+        batch = [["rewrite"], ["balance"], ["rewrite"]]
+        evaluator = QoREvaluator(small_adder, cache=False)
+        records = evaluator.evaluate_many(batch)
+        one_by_one = QoREvaluator(small_adder, cache=False)
+        assert records == [one_by_one.evaluate(names) for names in batch]
+        assert evaluator.history == one_by_one.history
+        assert evaluator.num_evaluations == one_by_one.num_evaluations == 3
+
     def test_best_so_far_empty(self, small_adder):
         evaluator = QoREvaluator(small_adder)
         assert evaluator.best_so_far() is None
@@ -184,65 +212,3 @@ class TestDeferredPersistentWrites:
         # Accounting is unaffected: both evaluations were computed.
         assert evaluator.num_evaluations == 2
         assert evaluator.num_computed == 2
-
-
-class TestTransportedStatsValidation:
-    """Hand-off pairs (reference_stats/initial_stats) are validated."""
-
-    def test_valid_hand_off_is_bit_identical(self, small_adder):
-        cold = QoREvaluator(small_adder)
-        warm = QoREvaluator(
-            small_adder,
-            reference_stats=(cold.reference_area, cold.reference_delay),
-            initial_stats=(cold.initial_result.area,
-                           cold.initial_result.delay),
-        )
-        assert warm.reference_area == cold.reference_area
-        assert warm.reference_delay == cold.reference_delay
-        assert warm.initial_result == cold.initial_result
-        assert (warm.evaluate(["rewrite", "balance"])
-                == cold.evaluate(["rewrite", "balance"]))
-
-    @pytest.mark.parametrize("field", ["reference_stats", "initial_stats"])
-    def test_negative_values_rejected(self, small_adder, field):
-        with pytest.raises(ValueError, match="non-negative"):
-            QoREvaluator(small_adder, **{field: (7, -2)})
-
-    @pytest.mark.parametrize("field", ["reference_stats", "initial_stats"])
-    def test_non_integer_values_rejected(self, small_adder, field):
-        with pytest.raises(ValueError, match="integer"):
-            QoREvaluator(small_adder, **{field: (7.5, 2)})
-
-    @pytest.mark.parametrize("field", ["reference_stats", "initial_stats"])
-    def test_non_numeric_values_rejected(self, small_adder, field):
-        with pytest.raises(ValueError, match="integer"):
-            QoREvaluator(small_adder, **{field: ("7", "2")})
-
-    @pytest.mark.parametrize("bad", [(7,), (7, 2, 9), "xy", 12])
-    def test_wrong_shape_rejected(self, small_adder, bad):
-        with pytest.raises(ValueError):
-            QoREvaluator(small_adder, reference_stats=bad)
-
-    def test_reference_clamped_to_at_least_one(self, small_adder):
-        # Zero denominators would make Equation 1 blow up; the reference
-        # pair is clamped ≥ 1 exactly like the measured path.
-        evaluator = QoREvaluator(small_adder, reference_stats=(0, 0))
-        assert evaluator.reference_area == 1
-        assert evaluator.reference_delay == 1
-
-    def test_initial_zero_is_allowed(self, small_adder):
-        # The initial pair is only reported, never a denominator; a
-        # constant-only circuit legitimately maps to zero LUTs.
-        evaluator = QoREvaluator(small_adder, initial_stats=(0, 0))
-        assert evaluator.initial_result.area == 0
-        assert evaluator.initial_result.delay == 0
-
-    def test_integer_valued_floats_accepted(self, small_adder):
-        cold = QoREvaluator(small_adder)
-        warm = QoREvaluator(
-            small_adder,
-            reference_stats=(float(cold.reference_area),
-                             float(cold.reference_delay)),
-        )
-        assert warm.reference_area == cold.reference_area
-        assert isinstance(warm.reference_area, int)
