@@ -207,13 +207,11 @@ class Problem:
         return spec
 
     def build_evaluator(
-        self,
-        cache: bool = True,
-        persistent_cache: Optional[object] = None,
+        self, persistent_cache: Optional[object] = None
     ) -> QoREvaluator:
         """Instantiate the circuit and its QoR evaluator."""
         return self.evaluator_spec().build_evaluator(
-            cache=cache, persistent_cache=persistent_cache)
+            persistent_cache=persistent_cache)
 
     # ------------------------------------------------------------------
     # JSON round trip

@@ -357,26 +357,23 @@ def _run_parallel(
     queue: deque = deque(pending)
     in_flight: Dict[Future, Tuple[CampaignCell, float]] = {}
     # One warm pool for the whole campaign: workers keep their evaluator
-    # caches and persistent-cache connection across cells, and crash
-    # recovery advances the epoch instead of discarding warm state.
+    # caches and persistent-cache connection across cells; crash
+    # recovery rebuilds only the workers.
     warm = WarmPool(
         max_workers=min(jobs, max(1, len(pending))),
         initializer=worker.init_campaign_worker,
-        initargs_for=lambda epoch: (cache_dir, event_queue, True),
+        initargs=(cache_dir, event_queue, True),
     )
     crash_rebuilds = 0
     tick = 0.1 if (event_queue is not None
                    or campaign.cell_timeout is not None) else None
-
-    def recycle_pool() -> None:
-        warm.recycle()
 
     def crash_recovery(error: BaseException) -> None:
         """The pool died: settle finished futures, retry the suspects."""
         nonlocal crash_rebuilds
         crash_rebuilds += 1
         if crash_rebuilds > policy.max_pool_rebuilds:
-            recycle_pool()
+            warm.recycle()
             raise PoolUnrecoverableError(
                 f"campaign pool died {crash_rebuilds} times "
                 f"(> {policy.max_pool_rebuilds} rebuilds): {error}"
@@ -401,7 +398,7 @@ def _run_parallel(
             else:
                 suspects.append(cell)
         in_flight.clear()
-        recycle_pool()
+        warm.recycle()
         for cell in suspects:
             handle_retryable(cell, error, queue.append)
 
@@ -460,7 +457,7 @@ def _run_parallel(
                     victims = [(future, cell) for future, (cell, _)
                                in in_flight.items()]
                     in_flight.clear()
-                    recycle_pool()
+                    warm.recycle()
                     for future, cell in sorted(victims,
                                                key=lambda fc: fc[1].index):
                         if future in overdue:

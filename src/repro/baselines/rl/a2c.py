@@ -24,10 +24,10 @@ class A2COptimiser(SequenceOptimiser):
 
     The batch protocol is episode-shaped: :meth:`suggest` rolls out one
     episode with the current policy and returns its sequence, and
-    :meth:`observe` performs the A2C update for that episode.  Completed
-    sequences are registered through
-    :meth:`~repro.qor.QoREvaluator.evaluate_many`.  (A2C updates after
-    every episode, so its batches are single episodes by construction.)
+    :meth:`observe` performs the A2C update for that episode.  The
+    environment records nothing itself: :func:`~repro.bo.base.drive`
+    scores each finished sequence.  (A2C updates after every episode, so
+    its batches are single episodes by construction.)
     """
 
     name = "DRiLLS (A2C)"
@@ -97,7 +97,7 @@ class A2COptimiser(SequenceOptimiser):
     def prepare(self, evaluator: QoREvaluator, budget: int) -> None:
         self.attach_environment(SynthesisEnvironment(
             evaluator, space=self.space,
-            use_graph_features=self.use_graph_features, auto_register=False,
+            use_graph_features=self.use_graph_features,
         ))
 
     def run_metadata(self) -> dict:

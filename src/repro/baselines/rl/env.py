@@ -13,9 +13,12 @@ our goal from Equation (2)"): the per-step reward is the decrease in the
 running QoR value, so the episode return telescopes to
 ``QoR(initial) − QoR(sequence)``, i.e. maximising return minimises QoR.
 
-Each completed episode registers the full sequence with the shared
-:class:`repro.qor.QoREvaluator` so that RL runs are accounted in *tested
-sequences*, the unit the paper uses for sample-complexity comparisons.
+The environment only scores partial circuits for rewards and features;
+it never records an evaluation.  The RL optimisers return each finished
+episode's sequence from ``suggest``, and :func:`repro.bo.base.drive`
+scores it through the shared :class:`repro.qor.QoREvaluator`, so RL runs
+are accounted in *tested sequences*, the unit the paper uses for
+sample-complexity comparisons.
 """
 
 from __future__ import annotations
@@ -39,17 +42,10 @@ class SynthesisEnvironment:
         evaluator: QoREvaluator,
         space: Optional[SequenceSpace] = None,
         use_graph_features: bool = False,
-        auto_register: bool = True,
     ) -> None:
         self.evaluator = evaluator
         self.space = space if space is not None else SequenceSpace()
         self.use_graph_features = use_graph_features
-        #: When ``True`` (default) every completed episode registers its
-        #: sequence with the evaluator directly.  The batch-protocol
-        #: optimisers set ``False`` and submit finished sequences through
-        #: :meth:`~repro.qor.QoREvaluator.evaluate_many` instead, so an
-        #: attached engine can score them in worker processes.
-        self.auto_register = auto_register
         self.mapper: LutMapper = evaluator.mapper
         self._initial_aig = evaluator.aig
         self._start_stats = self._initial_aig.stats()
@@ -99,10 +95,6 @@ class SynthesisEnvironment:
         reward = self._current_qor - new_qor
         self._current_qor = new_qor
         done = len(self._sequence) >= self.episode_length
-        if done and self.auto_register:
-            # Register the completed sequence with the evaluator so that the
-            # run's sample count and history match the other optimisers.
-            self.evaluator.evaluate(self.space.to_names(self._sequence))
         return self._features(), reward, done
 
     def current_sequence(self) -> List[int]:

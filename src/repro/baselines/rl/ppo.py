@@ -25,10 +25,9 @@ class PPOOptimiser(SequenceOptimiser):
     The batch protocol mirrors that structure: :meth:`suggest` rolls out
     up to ``episodes_per_batch`` episodes with the fixed current policy
     and returns their sequences as one batch, and :meth:`observe` runs
-    the clipped update epochs on the collected batch.  All finished
-    sequences are registered through
-    :meth:`~repro.qor.QoREvaluator.evaluate_many`, so an attached engine
-    scores a whole PPO batch in parallel.
+    the clipped update epochs on the collected batch.  The environment
+    records nothing itself: :func:`~repro.bo.base.drive` scores the
+    batch's finished sequences like any other optimiser's proposals.
 
     Near budget exhaustion the caller caps the batch at the *remaining*
     budget so a batch can never overshoot it.  This is slightly more
@@ -135,7 +134,7 @@ class PPOOptimiser(SequenceOptimiser):
     def prepare(self, evaluator: QoREvaluator, budget: int) -> None:
         self.attach_environment(SynthesisEnvironment(
             evaluator, space=self.space,
-            use_graph_features=self.use_graph_features, auto_register=False,
+            use_graph_features=self.use_graph_features,
         ))
 
     def run_metadata(self) -> dict:

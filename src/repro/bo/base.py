@@ -25,7 +25,7 @@ budget loops.
 from __future__ import annotations
 
 import time
-from abc import ABC
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -496,49 +496,38 @@ class SequenceOptimiser(ABC):
     # ------------------------------------------------------------------
     # Ask/tell protocol
     # ------------------------------------------------------------------
+    @abstractmethod
     def suggest(self, n: int = 1) -> np.ndarray:
         """Propose up to ``n`` integer-encoded sequences to evaluate next.
 
-        Returns an ``(m, K)`` array with ``1 <= m <= n`` (an optimiser may
+        Returns an ``(m, K)`` array with ``m <= n`` (an optimiser may
         propose fewer than asked — e.g. a sequential BO round yields one
-        candidate).  Rows proposing sequences shorter than ``K`` (greedy
-        prefixes) are right-padded with ``-1`` sentinels; drivers must
-        strip those before evaluation, which :meth:`_evaluate_batch` does.
-        This is the *ask* half of the first-class contract every bundled
-        optimiser implements; the default raises
-        :class:`NotImplementedError` so legacy subclasses that override
-        :meth:`optimise` wholesale still work.
+        candidate); an empty array ends the run as
+        ``"optimiser_exhausted"``.  Rows proposing sequences shorter than
+        ``K`` (greedy prefixes) are right-padded with ``-1`` sentinels;
+        drivers must strip those before evaluation, which
+        :meth:`_evaluate_batch` does.  This is the *ask* half of the one
+        optimiser interface: a subclass without it cannot be
+        instantiated.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not implement suggest()")
 
+    @abstractmethod
     def observe(self, rows: np.ndarray, records: Sequence[SequenceEvaluation]) -> None:
         """Feed scored records for previously suggested rows back in.
 
         ``rows`` and ``records`` are positional pairs, in the order
         returned by :meth:`suggest`.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not implement observe()")
-
-    @property
-    def supports_batch(self) -> bool:
-        """Whether this optimiser implements the suggest/observe protocol."""
-        return type(self).suggest is not SequenceOptimiser.suggest
 
     # ------------------------------------------------------------------
-    def _evaluate(self, evaluator: QoREvaluator, indices: Sequence[int]) -> float:
-        """Evaluate an integer-encoded sequence; returns the QoR value."""
-        names = self.space.to_names(indices)
-        return evaluator.qor(names)
-
     def _evaluate_batch(
         self, evaluator: QoREvaluator, rows: np.ndarray
     ) -> List[SequenceEvaluation]:
         """Evaluate a batch of integer-encoded sequences positionally.
 
-        Goes through :meth:`QoREvaluator.evaluate_many`, so accounting
-        matches the equivalent sequence of single evaluations exactly.
-        ``-1`` padding sentinels (variable-length proposals, see
-        :meth:`suggest`) are stripped before conversion.
+        Goes through :meth:`QoREvaluator.evaluate_many`.  ``-1`` padding
+        sentinels (variable-length proposals, see :meth:`suggest`) are
+        stripped before conversion.
         """
         rows = np.atleast_2d(np.asarray(rows, dtype=int))
         if rows.size == 0:

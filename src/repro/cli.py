@@ -53,6 +53,7 @@ from repro.api import (
     run_campaign,
 )
 from repro.circuits import get_circuit, list_circuits
+from repro.config import env_fault_plan
 from repro.qor.backends import BackendError, parse_backend_argument
 from repro.engine import (
     EngineFaultError,
@@ -111,9 +112,7 @@ def _retry_policy_from_args(args) -> Optional[RetryPolicy]:
 
 
 def _fault_plan_from_args(args) -> Optional[FaultPlan]:
-    import os
-
-    raw = args.fault_plan or os.environ.get("REPRO_FAULT_PLAN", "").strip()
+    raw = args.fault_plan or env_fault_plan()
     return FaultPlan.from_argument(raw) if raw else None
 
 

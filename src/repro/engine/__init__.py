@@ -14,7 +14,7 @@ study and :func:`repro.api.run_problem` call.  Its pieces:
   state, so ``--jobs N`` reproduces ``--jobs 1`` exactly.
 * :mod:`repro.engine.pool` — :class:`WarmPool`, the one sanctioned
   ``ProcessPoolExecutor`` owner, persistent across cells and
-  self-healing by epoch; ``jobs`` everywhere means cells in flight.
+  rebuilt after a crash; ``jobs`` everywhere means cells in flight.
 * :mod:`repro.engine.cache` — :class:`PersistentQoRCache`, an SQLite
   (WAL) on-disk cache of ``(circuit, sequence) → (area, delay)`` shared
   across processes *and* across runs.  It layers under the evaluator's

@@ -6,8 +6,8 @@ The package has one parallel path: campaign cells in flight
 a single executor kept across cells instead of a fresh
 ``ProcessPoolExecutor`` per call site, so workers keep their evaluators
 and cache connection for a whole campaign.  ``WarmPool`` exposes the two
-operations supervision needs: lazy (re)build and epoch-bumping recycle
-after a crash or deadline kill.  :func:`resolve_jobs` normalises the
+operations supervision needs: lazy (re)build and recycle after a crash
+or deadline kill.  :func:`resolve_jobs` normalises the
 ``jobs`` value that sizes it.
 
 Lint rule RPL008 flags direct ``ProcessPoolExecutor`` construction in
@@ -47,33 +47,25 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class WarmPool:
-    """A persistent worker pool that survives cells and heals by epoch.
+    """A persistent worker pool that survives cells and heals by rebuild.
 
     The executor is built lazily on first :meth:`executor` call and then
-    reused until :meth:`recycle` (crash recovery — kills the workers,
-    bumps the epoch so the next build re-initialises them) or
-    :meth:`close`.  ``initargs_for`` receives the current epoch so worker
-    initialisers can key fault-injection schedules and diagnostics to the
-    pool generation.
+    reused until :meth:`recycle` (crash recovery — kills the workers so
+    the next build re-initialises them with ``initargs``) or
+    :meth:`close`.
     """
 
     def __init__(
         self,
         max_workers: int,
         initializer: Optional[Callable[..., None]] = None,
-        initargs_for: Optional[Callable[[int], Tuple[object, ...]]] = None,
+        initargs: Tuple[object, ...] = (),
     ) -> None:
         self.max_workers = max(1, int(max_workers))
         self._initializer = initializer
-        self._initargs_for = initargs_for
+        self._initargs = tuple(initargs)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._epoch = 0
         self._builds = 0
-
-    @property
-    def epoch(self) -> int:
-        """Pool generation; bumped by every :meth:`recycle`."""
-        return self._epoch
 
     @property
     def builds(self) -> int:
@@ -88,27 +80,23 @@ class WarmPool:
     def executor(self) -> ProcessPoolExecutor:
         """Return the live executor, building it if necessary."""
         if self._pool is None:
-            initargs: Tuple[object, ...] = ()
-            if self._initargs_for is not None:
-                initargs = tuple(self._initargs_for(self._epoch))
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=self._initializer,
-                initargs=initargs,
+                initargs=self._initargs,
             )
             self._builds += 1
         return self._pool
 
     def recycle(self) -> None:
-        """Kill the current workers and advance the epoch.
+        """Kill the current workers.
 
         The next :meth:`executor` call rebuilds with fresh workers whose
-        initialiser sees the new epoch and re-establishes warm state.
+        initialiser re-establishes warm state.
         """
         if self._pool is not None:
             terminate_pool(self._pool)
             self._pool = None
-        self._epoch += 1
 
     def close(self, cancel_futures: bool = False, terminate: bool = False) -> None:
         """Shut the pool down; idempotent."""

@@ -126,9 +126,7 @@ class EvaluatorSpec:
         )
 
     def build_evaluator(
-        self,
-        cache: bool = True,
-        persistent_cache: Optional[object] = None,
+        self, persistent_cache: Optional[object] = None
     ) -> QoREvaluator:
         """Instantiate the circuit and its evaluator from this spec."""
         cache_key = None
@@ -149,7 +147,6 @@ class EvaluatorSpec:
             aig,
             lut_size=self.lut_size,
             reference_sequence=self.reference_sequence,
-            cache=cache,
             persistent_cache=persistent_cache,
             objective=self.objective,
             cache_key=cache_key,

@@ -148,7 +148,7 @@ def _cell_evaluator(spec: EvaluatorSpec) -> QoREvaluator:
     key = spec.identity_key()
     evaluator = _CELL_EVALUATORS.get(key)
     if evaluator is None:
-        evaluator = spec.build_evaluator(cache=True, persistent_cache=_CELL_CACHE)
+        evaluator = spec.build_evaluator(persistent_cache=_CELL_CACHE)
         _CELL_EVALUATORS.put(key, evaluator)
     return evaluator
 

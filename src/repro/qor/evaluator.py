@@ -19,8 +19,8 @@ The paper counts *distinct tested sequences* as the sample-complexity
 unit, so the evaluator distinguishes two cache layers with different
 accounting rules:
 
-* **In-memory memoisation** (``cache=True``, per evaluator instance /
-  per run): re-visiting an already-tested sequence is *free* — a memo
+* **In-memory memoisation** (always on, per evaluator instance / per
+  run): re-visiting an already-tested sequence is *free* — a memo
   hit neither increments :attr:`num_evaluations` nor appends a duplicate
   :attr:`history` row.  Several optimisers (GA with elitism, trust
   region restarts, greedy) re-visit sequences, and those revisits must
@@ -34,11 +34,9 @@ accounting rules:
   :attr:`num_persistent_hits` expose the split, so a warm cache shows up
   as ``num_computed == 0`` on a repeated run.
 
-Batches of sequences are scored through
-:meth:`QoREvaluator.evaluate_many`, in-process and recorded in
-submission order, exactly like the equivalent sequence of
-:meth:`QoREvaluator.evaluate` calls.  Parallelism lives one level up, in
-the campaign driver, which runs whole cells in worker processes.
+:meth:`QoREvaluator.evaluate_many` is :meth:`QoREvaluator.evaluate` in
+a loop.  Parallelism lives one level up, in the campaign driver, which
+runs whole cells in worker processes.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aig.graph import AIG
-from repro.mapping.lut_mapper import LutMapper, MappingResult
+from repro.mapping.lut_mapper import LutMapper
 from repro.qor.backends.base import (
     SynthesisBackend,
     aig_fingerprint,
@@ -93,9 +91,6 @@ class QoREvaluator:
     reference_sequence:
         The reference flow defining the QoR denominators; defaults to
         ``resyn2`` as in the paper.
-    cache:
-        Whether to memoise evaluations by sequence (per-run memoisation;
-        memo hits do not count towards :attr:`num_evaluations`).
     persistent_cache:
         Optional on-disk QoR cache shared across runs and processes
         (:class:`repro.engine.cache.PersistentQoRCache` or any object
@@ -126,7 +121,6 @@ class QoREvaluator:
         aig: AIG,
         lut_size: int = 6,
         reference_sequence: Optional[Sequence[str]] = None,
-        cache: bool = True,
         persistent_cache: Optional[object] = None,
         cache_key: Optional[str] = None,
         objective: Optional[object] = None,
@@ -140,7 +134,6 @@ class QoREvaluator:
         self.reference_sequence = tuple(
             reference_sequence if reference_sequence is not None else RESYN2_SEQUENCE
         )
-        self._cache_enabled = cache
         self._cache: Dict[Tuple[str, ...], SequenceEvaluation] = {}
         self._persistent = persistent_cache
         self._cache_key = cache_key
@@ -276,9 +269,6 @@ class QoREvaluator:
         return self.objective.value(area, delay,
                                     self.reference_area, self.reference_delay)
 
-    def _qor(self, mapping: MappingResult) -> float:
-        return self._qor_value(mapping.area, mapping.delay)
-
     def _make_record(self, names: Tuple[str, ...], area: int, delay: int) -> SequenceEvaluation:
         qor = self._qor_value(area, delay)
         improvement = (self.reference_qor - qor) / self.reference_qor * 100.0
@@ -342,8 +332,7 @@ class QoREvaluator:
         else:
             self._num_computed += 1
         self.history.append(record)
-        if self._cache_enabled:
-            self._cache[names] = record
+        self._cache[names] = record
         if self._persistent is not None and not from_persistent:
             if self._defer_persistent:
                 self._pending_writes.append((names, record.area, record.delay))
@@ -362,7 +351,7 @@ class QoREvaluator:
         accounting rules).
         """
         names = tuple(sequence_to_names(sequence))
-        if self._cache_enabled and names in self._cache:
+        if names in self._cache:
             return self._cache[names]
         record = self._persistent_lookup(names)
         from_persistent = record is not None
@@ -374,65 +363,8 @@ class QoREvaluator:
     def evaluate_many(
         self, sequences: Sequence[Sequence[Union[str, int]]]
     ) -> List[SequenceEvaluation]:
-        """Evaluate a batch of sequences.
-
-        Results are returned positionally and recorded (counters, history,
-        caches) in submission order, so a batched run is indistinguishable
-        from the equivalent sequence of :meth:`evaluate` calls.  The
-        persistent cache is consulted for the whole batch before any
-        uncached sequence is computed.
-        """
-        names_list = [tuple(sequence_to_names(seq)) for seq in sequences]
-        results: List[Optional[SequenceEvaluation]] = [None] * len(names_list)
-        # plan: (position, names, source) for every occurrence that needs
-        # recording; "alias" marks an in-batch duplicate of an earlier
-        # occurrence (memo semantics: returned but not re-recorded).
-        plan: List[Tuple[int, Tuple[str, ...], str]] = []
-        scheduled: Dict[Tuple[str, ...], int] = {}
-        persistent_records: Dict[Tuple[str, ...], SequenceEvaluation] = {}
-        for position, names in enumerate(names_list):
-            if self._cache_enabled:
-                if names in self._cache:
-                    results[position] = self._cache[names]
-                    continue
-                if names in scheduled:
-                    plan.append((position, names, "alias"))
-                    continue
-                scheduled[names] = position
-            hit = self._persistent_lookup(names)
-            if hit is not None:
-                persistent_records[names] = hit
-                plan.append((position, names, "persistent"))
-            else:
-                plan.append((position, names, "compute"))
-
-        computed_iter = iter([self.compute(names) for _, names, source in plan
-                              if source == "compute"])
-        resolved: Dict[Tuple[str, ...], SequenceEvaluation] = {}
-        for position, names, source in plan:
-            if source == "alias":
-                results[position] = resolved[names]
-                continue
-            if source == "persistent":
-                record = persistent_records[names]
-            else:
-                record = next(computed_iter)
-            self._record(names, record, from_persistent=(source == "persistent"))
-            resolved[names] = record
-            results[position] = record
-        return results  # type: ignore[return-value]
-
-    def qor(self, sequence: Sequence[Union[str, int]]) -> float:
-        """QoR value of a sequence (the quantity BOiLS minimises)."""
-        return self.evaluate(sequence).qor
-
-    def negative_qor(self, sequence: Sequence[Union[str, int]]) -> float:
-        """``-QoR`` — the quantity the GP surrogate models (maximisation)."""
-        return -self.evaluate(sequence).qor
-
-    def improvement(self, sequence: Sequence[Union[str, int]]) -> float:
-        """Relative QoR improvement over the reference flow, in percent."""
-        return self.evaluate(sequence).qor_improvement
+        """Evaluate a batch of sequences: :meth:`evaluate` in a loop."""
+        return [self.evaluate(sequence) for sequence in sequences]
 
     # ------------------------------------------------------------------
     def best_so_far(self) -> Optional[SequenceEvaluation]:
@@ -459,10 +391,10 @@ class QoREvaluator:
     ) -> None:
         """Restore a previous run segment's history (checkpoint resume).
 
-        Replaces the history and counters with ``records`` and — when
-        in-memory memoisation is enabled — repopulates the memo cache
-        from them, so that re-visits of pre-checkpoint sequences stay
-        free exactly as they would have in the uninterrupted run.  The
+        Replaces the history and counters with ``records`` and
+        repopulates the memo cache from them, so that re-visits of
+        pre-checkpoint sequences stay free exactly as they would have in
+        the uninterrupted run.  The
         counter split defaults to "everything was computed"; pass the
         checkpointed ``num_computed``/``num_persistent_hits`` to keep
         the diagnostic split exact.  (Pending deferred persistent writes
@@ -476,9 +408,8 @@ class QoREvaluator:
             num_computed = len(records) - num_persistent_hits
         self._num_computed = int(num_computed)
         self._num_persistent_hits = int(num_persistent_hits)
-        if self._cache_enabled:
-            for record in records:
-                self._cache[record.sequence] = record
+        for record in records:
+            self._cache[record.sequence] = record
 
     def reset_history(self, clear_cache: bool = False) -> None:
         """Clear the evaluation history and counters.

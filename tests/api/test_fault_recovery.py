@@ -276,6 +276,23 @@ class TestCliExitCodes:
         assert cli.main([*self.BASE, "--seeds", "0"]) == 0
         capsys.readouterr()
 
+    def test_fault_plan_flag_wins_over_env_var(self, monkeypatch):
+        def plan_for(cell):
+            return FaultPlan(events=(
+                FaultEvent(kind="crash", cell=cell, attempt=0, at=0),))
+
+        def resolved(flag):
+            args = cli._build_parser().parse_args(
+                [*self.BASE, *(["--fault-plan", flag] if flag else [])])
+            return cli._fault_plan_from_args(args)
+
+        monkeypatch.setenv("REPRO_FAULT_PLAN", plan_for("env").to_json())
+        assert resolved(None) == plan_for("env")
+        assert resolved(plan_for("flag").to_json()) == plan_for("flag")
+        # A blank variable is no plan at all.
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "  ")
+        assert resolved(None) is None
+
 
 class TestTornRecords:
     def test_torn_record_reads_as_unfinished_and_reruns(self, tmp_path):

@@ -102,6 +102,9 @@ def test_failing_optimiser_raises_naming_the_cell(problem):
         def suggest(self, n=1):
             raise ValueError("proposal machinery broke")
 
+        def observe(self, rows, records):  # pragma: no cover
+            raise AssertionError("never reached")
+
     try:
         (cell,) = Campaign.single(problem, "test-raising").cells()
         with pytest.raises(RuntimeError) as excinfo:

@@ -108,7 +108,7 @@ class TestEnvironment:
         assert env.num_actions == 11
         assert env.episode_length == 3
 
-    def test_episode_registers_one_evaluation(self, adder, space):
+    def test_episode_records_no_evaluation(self, adder, space):
         evaluator = QoREvaluator(adder)
         env = SynthesisEnvironment(evaluator, space=space)
         env.reset()
@@ -118,8 +118,11 @@ class TestEnvironment:
             _, _, done = env.step(0)
             steps += 1
         assert steps == 3
-        assert evaluator.num_evaluations == 1
+        assert evaluator.num_evaluations == 0
         assert env.current_sequence() == [0, 0, 0]
+        # The optimiser's driver scores the finished sequence.
+        evaluator.evaluate(space.to_names(env.current_sequence()))
+        assert evaluator.num_evaluations == 1
 
     def test_rewards_telescope_to_qor_decrease(self, adder, space):
         evaluator = QoREvaluator(adder)
@@ -134,7 +137,8 @@ class TestEnvironment:
             _, reward, done = env.step(actions[idx])
             rewards.append(reward)
             idx += 1
-        final_record = evaluator.history[-1]
+        final_record = evaluator.evaluate(
+            space.to_names(env.current_sequence()))
         assert sum(rewards) == pytest.approx(initial_qor - final_record.qor, abs=1e-9)
 
     def test_step_after_done_raises(self, adder, space):

@@ -103,7 +103,11 @@ def test_state_dict_requires_implementation(space):
     from repro.bo.base import SequenceOptimiser
 
     class Bare(SequenceOptimiser):
-        pass
+        def suggest(self, n=1):  # pragma: no cover
+            raise NotImplementedError
+
+        def observe(self, rows, records):  # pragma: no cover
+            raise NotImplementedError
 
     bare = Bare(space=space)
     assert not bare.supports_checkpoint

@@ -23,23 +23,23 @@ def space():
 
 class TestProtocolSurface:
     def test_batch_capable_optimisers(self, space):
-        assert RandomSearch(space=space).supports_batch
-        assert GeneticAlgorithm(space=space).supports_batch
-        assert BOiLS(space=space).supports_batch
-        assert StandardBO(space=space).supports_batch
-        assert GreedySearch(space=space).supports_batch
-        assert A2COptimiser(space=space).supports_batch
-        assert PPOOptimiser(space=space).supports_batch
+        for cls in (RandomSearch, GeneticAlgorithm, BOiLS, StandardBO,
+                    GreedySearch, A2COptimiser, PPOOptimiser):
+            assert not cls.__abstractmethods__, cls
+            assert isinstance(cls(space=space), SequenceOptimiser)
 
-    def test_non_batch_optimiser_raises(self, space):
+    def test_optimiser_without_suggest_observe_cannot_be_instantiated(self, space):
         class MinimalOptimiser(SequenceOptimiser):
             def optimise(self, evaluator, budget):  # pragma: no cover
                 raise NotImplementedError
 
-        minimal = MinimalOptimiser(space=space)
-        assert not minimal.supports_batch
-        with pytest.raises(NotImplementedError):
-            minimal.suggest(2)
+        class AskOnly(SequenceOptimiser):
+            def suggest(self, n=1):  # pragma: no cover
+                raise NotImplementedError
+
+        for cls in (MinimalOptimiser, AskOnly):
+            with pytest.raises(TypeError, match="observe"):
+                cls(space=space)
 
     def test_suggest_respects_n(self, space):
         optimiser = RandomSearch(space=space, seed=0)

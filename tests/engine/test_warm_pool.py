@@ -1,7 +1,7 @@
 """Tests for the warm campaign pool and its workers' read-only state.
 
-Covers :mod:`repro.engine.pool` (lazy build, reuse, epoch-bumping
-recycle, idempotent close), the synthesis-memo counters that campaign
+Covers :mod:`repro.engine.pool` (lazy build, reuse, recycle and
+rebuild, idempotent close), the synthesis-memo counters that campaign
 workers report through ``worker_diagnostics``, and the bounded
 worker-side evaluator LRU whose eviction can never change results.
 """
@@ -17,6 +17,18 @@ from repro.engine import EvaluatorSpec
 from repro.engine import worker
 from repro.engine.pool import WarmPool
 from repro.qor.backends import NativeBackend, native
+
+
+_INITARGS = None
+
+
+def _remember_initargs(*args):
+    global _INITARGS
+    _INITARGS = args
+
+
+def _remembered_initargs():
+    return _INITARGS
 
 
 @pytest.fixture(scope="module")
@@ -42,20 +54,21 @@ class TestWarmPoolLifecycle:
             assert pool.builds == 1
             assert executor.submit(int, "7").result() == 7
 
-    def test_recycle_bumps_epoch_and_rebuilds(self):
-        seen_epochs = []
-        pool = WarmPool(max_workers=1,
-                        initargs_for=lambda epoch: seen_epochs.append(epoch) or ())
+    def test_recycle_rebuilds_with_the_same_initargs(self):
+        pool = WarmPool(max_workers=1, initializer=_remember_initargs,
+                        initargs=("cache", 7))
         try:
-            pool.executor()
-            assert (pool.epoch, pool.builds) == (0, 1)
+            first = pool.executor()
+            assert pool.builds == 1
+            assert first.submit(_remembered_initargs).result() == ("cache", 7)
             pool.recycle()
             assert not pool.warm
-            assert (pool.epoch, pool.builds) == (1, 1)
-            pool.executor()
-            assert (pool.epoch, pool.builds) == (1, 2)
-            # initargs_for runs in the parent and sees each generation.
-            assert seen_epochs == [0, 1]
+            assert pool.builds == 1
+            second = pool.executor()
+            assert second is not first
+            assert pool.builds == 2
+            # Every build initialises its fresh workers the same way.
+            assert second.submit(_remembered_initargs).result() == ("cache", 7)
         finally:
             pool.close()
 
@@ -76,7 +89,7 @@ _MEMO_COUNTERS = ("synth_memo_hits", "synth_memo_misses",
 
 class TestSynthMemoCounters:
     def test_counters_track_steps_and_mapping(self, spec):
-        aig = spec.build_evaluator(cache=False).aig
+        aig = spec.build_evaluator().aig
         sequence = ("rewrite", "balance", "refactor")
         native.clear_synth_memo()
         NativeBackend().measure(aig, sequence, 6)
@@ -94,7 +107,7 @@ class TestSynthMemoCounters:
         assert second["synth_memo_bytes"] == first["synth_memo_bytes"]
 
     def test_byte_bound_evicts_least_recent(self, spec, monkeypatch):
-        aig = spec.build_evaluator(cache=False).aig
+        aig = spec.build_evaluator().aig
         backend = NativeBackend()
         expected = backend.measure(aig, ("rewrite", "balance"), 6)
         # Room for roughly one encoded state: every new step evicts.
@@ -113,7 +126,7 @@ class TestSynthMemoCounters:
             index=seed, spec=spec, method_key="rs", seed=seed, budget=4,
             sequence_length=3) for seed in (0, 1)]
         with WarmPool(max_workers=1, initializer=worker.init_campaign_worker,
-                      initargs_for=lambda epoch: (None, None, True)) as pool:
+                      initargs=(None, None, True)) as pool:
             executor = pool.executor()
             for payload in payloads:
                 executor.submit(worker.run_campaign_cell, payload).result()
@@ -149,7 +162,7 @@ class TestEvaluatorLRU:
                  for width in (3, 4, 5)]
         names = tuple(space.to_names(
             space.sample(1, np.random.default_rng(3))[0]))
-        expected = [s.build_evaluator(cache=False).compute(names)
+        expected = [s.build_evaluator().compute(names)
                     for s in specs]
         worker.init_campaign_worker(None, cache_limit=1)
         try:

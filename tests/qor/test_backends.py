@@ -370,7 +370,7 @@ class TestProblemIntegration:
             "adder", width=4,
             backend={"backend": "replay", "tape": str(tape),
                      "mode": "record"})
-        evaluator = spec.build_evaluator(cache=False)
+        evaluator = spec.build_evaluator()
         assert isinstance(evaluator.backend, ReplayBackend)
         assert evaluator.cache_key.endswith(":replay")
 

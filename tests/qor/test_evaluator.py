@@ -65,12 +65,6 @@ class TestCachingAndHistory:
         evaluator.evaluate(["balance", "rewrite"])
         assert evaluator.num_evaluations == count
 
-    def test_cache_disabled(self, small_adder):
-        evaluator = QoREvaluator(small_adder, cache=False)
-        evaluator.evaluate(["balance"])
-        evaluator.evaluate(["balance"])
-        assert evaluator.num_evaluations == 2
-
     def test_history_and_best(self, small_adder):
         evaluator = QoREvaluator(small_adder)
         evaluator.evaluate(["balance"])
@@ -116,24 +110,9 @@ class TestCachingAndHistory:
         assert evaluator.history == []
         assert evaluator.num_evaluations == 0
 
-    def test_evaluate_many_without_cache_matches_evaluate(self, small_adder):
-        batch = [["rewrite"], ["balance"], ["rewrite"]]
-        evaluator = QoREvaluator(small_adder, cache=False)
-        records = evaluator.evaluate_many(batch)
-        one_by_one = QoREvaluator(small_adder, cache=False)
-        assert records == [one_by_one.evaluate(names) for names in batch]
-        assert evaluator.history == one_by_one.history
-        assert evaluator.num_evaluations == one_by_one.num_evaluations == 3
-
     def test_best_so_far_empty(self, small_adder):
         evaluator = QoREvaluator(small_adder)
         assert evaluator.best_so_far() is None
-
-    def test_negative_qor_helper(self, small_adder):
-        evaluator = QoREvaluator(small_adder)
-        assert evaluator.negative_qor(["balance"]) == pytest.approx(
-            -evaluator.qor(["balance"])
-        )
 
 
 class TestDeferredPersistentWrites:
@@ -185,6 +164,61 @@ class TestDeferredPersistentWrites:
         evaluator.evaluate(["balance"])
         assert evaluator.num_persistent_hits == 1
         assert evaluator.num_computed == 0
+
+    @pytest.mark.parametrize("defer", [True, False],
+                             ids=["deferred", "eager"])
+    def test_evaluate_many_matches_evaluate_with_persistent_cache(
+            self, small_adder, tmp_path, defer):
+        """A batch through a persistent cache records exactly what the
+        same sequence of ``evaluate`` calls does.
+
+        The batch holds a persistent hit, a fresh compute, an in-batch
+        duplicate of it and a memo hit.
+        """
+        from repro.engine.cache import PersistentQoRCache
+
+        class RecordingCache(PersistentQoRCache):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.written = []
+
+            def put(self, circuit_key, sequence, area, delay):
+                self.written.append((tuple(sequence), area, delay))
+                super().put(circuit_key, sequence, area, delay)
+
+            def put_many(self, circuit_key, rows):
+                self.written.extend(rows)
+                super().put_many(circuit_key, rows)
+
+        batch = [["balance"], ["rewrite"], ["rewrite"], ["fraig"]]
+        runs = {}
+        for mode in ("batch", "one_by_one"):
+            with RecordingCache(tmp_path / mode) as cache:
+                evaluator = QoREvaluator(small_adder, persistent_cache=cache)
+                evaluator.evaluate(["balance"])  # committed eagerly
+                evaluator.reset_history(clear_cache=True)
+                cache.written.clear()
+                evaluator.defer_persistent_writes(defer)
+                evaluator.evaluate(["fraig"])  # memo hit inside the batch
+                if mode == "batch":
+                    records = evaluator.evaluate_many(batch)
+                else:
+                    records = [evaluator.evaluate(names) for names in batch]
+                runs[mode] = (records, list(evaluator.history),
+                              evaluator.num_evaluations,
+                              evaluator.num_computed,
+                              evaluator.num_persistent_hits,
+                              evaluator.flush_persistent_writes(),
+                              cache.written)
+        assert runs["batch"] == runs["one_by_one"]
+        records, history, evaluations, computed, hits, flushed, rows = (
+            runs["batch"])
+        assert [r.sequence for r in history] == [
+            ("fraig",), ("balance",), ("rewrite",)]
+        assert (evaluations, computed, hits) == (3, 2, 1)
+        assert flushed == (2 if defer else 0)
+        assert [row[0] for row in rows] == [("fraig",), ("rewrite",)]
+        assert records[1] is records[2]
 
     def test_disabling_deferral_flushes(self, small_adder, cache):
         evaluator = QoREvaluator(small_adder, persistent_cache=cache)
