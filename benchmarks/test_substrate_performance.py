@@ -228,7 +228,7 @@ class TestHotPathSpeedups:
         events, trajectory appends or checkpoints), and once with
         everything on: per-round event streaming, per-round trajectory
         JSONL appends and a ``checkpoint_every=1`` optimiser checkpoint
-        (GP state included) every round.  The streaming machinery must
+        (GP schedule, not its factor) every round.  The streaming machinery must
         cost <5 % wall-clock; the recorded ``speedup`` (cell-granular /
         streaming, ~1.0) feeds the committed-baseline regression gate
         like every other path.

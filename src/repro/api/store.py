@@ -20,6 +20,10 @@ uninterrupted run byte for byte).  On resume, cells with an ``ok``
 record are loaded verbatim and skipped; cells with a checkpoint but no
 ``ok`` record (killed or failed mid-cell) restart *from the checkpoint*
 rather than from scratch.
+
+A checkpoint at round *r* holds no evaluator history: that is the
+records of the first *r* trajectory lines.  Fewer lines, or an older
+checkpoint format, make it unusable, and the cell reruns from round 0.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ from repro.qor.evaluator import SequenceEvaluation
 from repro.qor.objectives import canonical_spec_string
 
 #: Mid-cell checkpoint schema version, bumped on incompatible changes.
-CHECKPOINT_FORMAT_VERSION = 1
+#: A checkpoint of an older version reads as absent, so its cell reruns.
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def evaluation_to_dict(record: SequenceEvaluation) -> Dict[str, object]:
@@ -595,7 +600,9 @@ class CampaignStore:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        version = int(payload.get("format_version", CHECKPOINT_FORMAT_VERSION))
+        version = int(payload.get("format_version", 0))
+        if version < CHECKPOINT_FORMAT_VERSION:
+            return None
         if version > CHECKPOINT_FORMAT_VERSION:
             raise StoreError(
                 f"checkpoint {path} has format version {version}, newer than "

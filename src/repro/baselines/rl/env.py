@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.aig.graph import AIG
 from repro.bo.space import SequenceSpace
-from repro.mapping.lut_mapper import LutMapper
+from repro.mapping.lut_mapper import LutMapper, MappingResult
 from repro.qor.evaluator import QoREvaluator
 from repro.synth.operations import get_operation
 
@@ -53,10 +53,10 @@ class SynthesisEnvironment:
         self._initial_area = max(1, initial_mapping.area)
         self._initial_delay = max(1, initial_mapping.delay)
 
-        self._current_aig: AIG = self._initial_aig
-        self._sequence: List[int] = []
-        self._previous_action: Optional[int] = None
-        self._current_qor = self._qor_of(self._current_aig)
+        # The initial AIG is fixed, so it is mapped once per environment;
+        # each step then maps its new AIG once, for reward and features.
+        self._initial_mapping = self.mapper.map(self._initial_aig)
+        self.reset()
 
     # ------------------------------------------------------------------
     @property
@@ -74,10 +74,11 @@ class SynthesisEnvironment:
     # ------------------------------------------------------------------
     def reset(self) -> np.ndarray:
         """Start a new episode from the unoptimised circuit."""
-        self._current_aig = self._initial_aig
-        self._sequence = []
-        self._previous_action = None
-        self._current_qor = self._qor_of(self._current_aig)
+        self._current_aig: AIG = self._initial_aig
+        self._mapping: MappingResult = self._initial_mapping
+        self._sequence: List[int] = []
+        self._previous_action: Optional[int] = None
+        self._current_qor = self._qor_of(self._mapping)
         return self._features()
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool]:
@@ -91,7 +92,8 @@ class SynthesisEnvironment:
         self._sequence.append(int(action))
         self._previous_action = int(action)
 
-        new_qor = self._qor_of(self._current_aig)
+        self._mapping = self.mapper.map(self._current_aig)
+        new_qor = self._qor_of(self._mapping)
         reward = self._current_qor - new_qor
         self._current_qor = new_qor
         done = len(self._sequence) >= self.episode_length
@@ -101,16 +103,15 @@ class SynthesisEnvironment:
         return list(self._sequence)
 
     # ------------------------------------------------------------------
-    def _qor_of(self, aig: AIG) -> float:
+    def _qor_of(self, mapping: MappingResult) -> float:
         # Follows the evaluator's objective (Equation 1 by default), so
         # the per-step reward shaping matches what the run optimises.
-        mapping = self.mapper.map(aig)
         return self.evaluator._qor_value(mapping.area, mapping.delay)
 
     def _features(self) -> np.ndarray:
         """State features of the current partially-optimised AIG."""
         stats = self._current_aig.stats()
-        mapping = self.mapper.map(self._current_aig)
+        mapping = self._mapping
         base = [
             stats["ands"] / max(1, self._start_stats["ands"]),
             stats["levels"] / max(1, self._start_stats["levels"]),

@@ -25,7 +25,7 @@ running many cells at once, not from splitting a batch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class BOiLS(SequenceOptimiser):
     def _reset_state(self) -> None:
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
-        self._evaluated: Set[Tuple[int, ...]] = set()
         self._kernel: Optional[SubsequenceStringKernel] = None
         self._gp: Optional[GaussianProcess] = None
         self._trust_region: Optional[TrustRegion] = None
@@ -193,7 +192,7 @@ class BOiLS(SequenceOptimiser):
                 return acquisition_fn(mean, std)
             return acquisition_fn(mean, std, best_value)
 
-        exclude = set(self._evaluated)
+        exclude = set(map(tuple, self._X.tolist()))
         rows: List[np.ndarray] = []
         for _ in range(count):
             candidate, _ = self._local_search.maximise(
@@ -215,7 +214,6 @@ class BOiLS(SequenceOptimiser):
         if kind == "initial" or self._X is None:
             self._X = rows.copy()
             self._y = values
-            self._evaluated = {tuple(row.tolist()) for row in rows}
             self._kernel = SubsequenceStringKernel(
                 max_subsequence_length=self.max_subsequence_length,
                 theta_match=float(self.rng.uniform(0.4, 0.9)),
@@ -249,8 +247,6 @@ class BOiLS(SequenceOptimiser):
     def _append(self, rows: np.ndarray, values: np.ndarray) -> None:
         self._X = np.vstack([self._X, rows])
         self._y = np.append(self._y, values)
-        for row in rows:
-            self._evaluated.add(tuple(row.tolist()))
 
     # ------------------------------------------------------------------
     # Drive hooks (Algorithm 2 = prepare + generic ask/tell drive)
@@ -277,7 +273,7 @@ class BOiLS(SequenceOptimiser):
     # Checkpoint protocol
     # ------------------------------------------------------------------
     def _state_dict(self) -> dict:
-        state: dict = {
+        return {
             "rounds": self._rounds,
             "num_restarts": self._num_restarts,
             "pending_fresh": self._pending_fresh,
@@ -288,14 +284,12 @@ class BOiLS(SequenceOptimiser):
                                 else None),
             "X": encode_array(self._X),
             "y": encode_array(self._y),
-            "evaluated": sorted(list(key) for key in self._evaluated),
             "gp": self._gp.state_dict() if self._gp is not None else None,
             "trust_region": (self._trust_region.state_dict()
                              if self._trust_region is not None else None),
             "refit_gate": (self._refit_gate.state_dict()
                            if self._refit_gate is not None else None),
         }
-        return state
 
     def _load_state_dict(self, state: dict) -> None:
         self._reset_state()
@@ -307,21 +301,19 @@ class BOiLS(SequenceOptimiser):
                                  else -np.inf)
         self._X = decode_array(state["X"])
         self._y = decode_array(state["y"])
-        self._evaluated = {tuple(int(op) for op in key)
-                           for key in state["evaluated"]}
         if state["refit_gate"] is not None:
             self._refit_gate = RefitGate()
             self._refit_gate.load_state_dict(state["refit_gate"])
         if state["gp"] is not None:
-            # The kernel is rebuilt at neutral values and then overwritten
-            # by the GP snapshot, which restores the exact decays *and*
-            # the Cholesky factor the interrupted run held — required for
-            # the incremental-conditioning path to continue identically.
+            # The kernel is rebuilt at neutral values; the GP snapshot
+            # sets the decays and replays its factorisations on the rows
+            # of X, so the incremental-conditioning path continues from
+            # the same factor the interrupted run held.
             self._kernel = SubsequenceStringKernel(
                 max_subsequence_length=self.max_subsequence_length)
             self._gp = GaussianProcess(self._kernel,
                                        noise_variance=self.noise_variance)
-            self._gp.load_state_dict(state["gp"])
+            self._gp.load_state_dict(state["gp"], self._X, self._y)
         if state["trust_region"] is not None:
             self._trust_region = TrustRegion(self.space, self.trust_region_config)
             self._trust_region.load_state_dict(state["trust_region"])

@@ -22,7 +22,7 @@ kernel hyperparameters condition the GP incrementally
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class StandardBO(SequenceOptimiser):
     def _reset_state(self) -> None:
         self._X: Optional[np.ndarray] = None
         self._y: Optional[np.ndarray] = None
-        self._evaluated: Set[Tuple[int, ...]] = set()
         self._kernel = None
         self._fit_param_names: List[str] = []
         self._gp: Optional[GaussianProcess] = None
@@ -173,7 +172,7 @@ class StandardBO(SequenceOptimiser):
         scores = acquisition(pool)
         order = np.argsort(-scores)
         rows: List[np.ndarray] = []
-        taken: Set[Tuple[int, ...]] = set(self._evaluated)
+        taken = set(map(tuple, self._X.tolist()))
         for idx in order:
             if len(rows) >= count:
                 break
@@ -200,8 +199,6 @@ class StandardBO(SequenceOptimiser):
         else:
             self._X = np.vstack([self._X, rows])
             self._y = np.append(self._y, values)
-        for row in rows:
-            self._evaluated.add(tuple(row.tolist()))
 
     # ------------------------------------------------------------------
     # Drive hooks
@@ -227,7 +224,6 @@ class StandardBO(SequenceOptimiser):
             "rounds": self._rounds,
             "X": encode_array(self._X),
             "y": encode_array(self._y),
-            "evaluated": sorted(list(key) for key in self._evaluated),
             "gp": self._gp.state_dict() if self._gp is not None else None,
             "refit_gate": (self._refit_gate.state_dict()
                            if self._refit_gate is not None else None),
@@ -238,16 +234,16 @@ class StandardBO(SequenceOptimiser):
         self._rounds = int(state["rounds"])
         self._X = decode_array(state["X"])
         self._y = decode_array(state["y"])
-        self._evaluated = {tuple(int(op) for op in key)
-                           for key in state["evaluated"]}
         if state["refit_gate"] is not None:
             self._refit_gate = RefitGate()
             self._refit_gate.load_state_dict(state["refit_gate"])
         if state["gp"] is not None:
             # Kernel scaffolding rebuilt from configuration; the GP
-            # snapshot then restores the exact hyperparameters and the
+            # snapshot then sets the hyperparameters and replays its
+            # factorisations on the encoded rows, rebuilding the
             # Cholesky factor of the interrupted run.
             self._kernel, self._fit_param_names = self._make_kernel()
             self._gp = GaussianProcess(self._kernel,
                                        noise_variance=self.noise_variance)
-            self._gp.load_state_dict(state["gp"])
+            self._gp.load_state_dict(state["gp"], self._encode(self._X),
+                                     self._y)

@@ -300,11 +300,12 @@ def run_campaign_cell(
       ``checkpoint_every``-th round atomically replaces
       ``checkpoints/<cell_id>.json`` with the optimiser's
       :meth:`~repro.bo.base.SequenceOptimiser.state_dict` plus the
-      evaluator history;
+      evaluator's counters;
     * if a checkpoint for the cell already exists, the cell *resumes*
-      from it — evaluator history, memo cache, RNG and per-method state
-      restored — and the continued trajectory is bit-identical to an
-      uninterrupted run;
+      from it — evaluator history (from the trajectory), memo cache, RNG
+      and per-method state restored — and the continued trajectory is
+      bit-identical to an uninterrupted run.  A trajectory shorter than
+      the checkpoint's round restarts the cell instead;
     * the campaign's ``wall_clock_budget`` / ``early_stop_improvement``
       knobs thread into the drive loop as ``max_seconds`` / ``stop_when``.
     """
@@ -363,22 +364,32 @@ def _run_campaign_cell_body(
     optimiser.prepare(evaluator, budget)
     start_round = 0
     start_elapsed = 0.0
-    checkpoint = store.read_checkpoint(cell_id) if store is not None else None
-    if checkpoint is not None and optimiser.supports_checkpoint:
-        saved = checkpoint["evaluator"]
-        evaluator.restore_history(
-            [evaluation_from_dict(item) for item in saved["history"]],  # type: ignore[index]
-            num_computed=int(saved.get("num_computed",  # type: ignore[union-attr]
-                                       len(saved["history"]))),  # type: ignore[index]
-            num_persistent_hits=int(saved.get("num_persistent_hits", 0)),  # type: ignore[union-attr]
-        )
-        optimiser.load_state_dict(checkpoint["optimiser_state"])  # type: ignore[arg-type]
-        start_round = int(checkpoint["round"])  # type: ignore[arg-type]
-        start_elapsed = float(checkpoint.get("elapsed_seconds", 0.0))  # type: ignore[arg-type]
+    checkpoint = (store.read_checkpoint(cell_id)
+                  if store is not None and optimiser.supports_checkpoint
+                  else None)
+    if checkpoint is not None:
         # A kill can land between a trajectory append and the checkpoint
         # write; drop any rounds past the checkpoint — the continued run
-        # re-emits them bit-identically.
-        store.truncate_trajectory(cell_id, start_round)
+        # re-emits them bit-identically.  The kept rounds' records are
+        # the evaluator history.
+        start_round = int(checkpoint["round"])  # type: ignore[arg-type]
+        store.truncate_trajectory(cell_id, start_round)  # type: ignore[union-attr]
+        rounds = store.read_trajectory(cell_id)  # type: ignore[union-attr]
+        history = [evaluation_from_dict(record) for line in rounds
+                   for record in line["records"]]  # type: ignore[attr-defined]
+        if len(rounds) < start_round:
+            # Rounds the checkpoint counts on are lost: restart the cell.
+            checkpoint = None
+            start_round = 0
+    if checkpoint is not None:
+        saved = checkpoint["evaluator"]
+        evaluator.restore_history(
+            history,
+            num_computed=int(saved["num_computed"]),  # type: ignore[index]
+            num_persistent_hits=int(saved["num_persistent_hits"]),  # type: ignore[index]
+        )
+        optimiser.load_state_dict(checkpoint["optimiser_state"])  # type: ignore[arg-type]
+        start_elapsed = float(checkpoint.get("elapsed_seconds", 0.0))  # type: ignore[arg-type]
     elif store is not None:
         # Fresh attempt (no usable checkpoint): discard any stale
         # trajectory left by a previous failed/killed attempt.
@@ -407,8 +418,6 @@ def _run_campaign_cell_body(
                     "method_key": str(payload["method_key"]),
                     "optimiser_state": optimiser.state_dict(),
                     "evaluator": {
-                        "history": [evaluation_to_dict(record)
-                                    for record in evaluator.history],
                         "num_computed": evaluator.num_computed,
                         "num_persistent_hits": evaluator.num_persistent_hits,
                     },

@@ -21,7 +21,7 @@ incremental path against full refactorisation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
@@ -29,7 +29,6 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 from repro.gp.blas import pin_blas_threads
 from repro.gp.kernels.base import Kernel
 from repro.gp.optim import finite_difference_gradient, ProjectedAdam
-from repro.serialise import decode_array, encode_array
 
 # numpy and scipy are loaded by now; run their OpenBLAS on one thread.
 pin_blas_threads()
@@ -74,6 +73,8 @@ class GaussianProcess:
         # to keep the extension's jitter consistent with the factor's.
         self._fit_params: Optional[Tuple[Dict[str, float], float]] = None
         self._jitter_used: float = jitter
+        # Row counts of the last full fit and of each extension since.
+        self._schedule: List[int] = []
 
     # ------------------------------------------------------------------
     # Fitting
@@ -107,6 +108,7 @@ class GaussianProcess:
         self._alpha = cho_solve((self._chol, True), self._y)
         self._jitter_used = jitter
         self._fit_params = (self.kernel.get_params(), self.noise_variance)
+        self._schedule = [n]
 
     # ------------------------------------------------------------------
     # Incremental conditioning
@@ -191,22 +193,19 @@ class GaussianProcess:
         self._X = X
         self._set_targets(y)
         self._alpha = cho_solve((chol, True), self._y)
+        self._schedule.append(n)
         return self
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """JSON-exact snapshot of the conditioning state.
+        """JSON-exact snapshot of the conditioning state, without the data.
 
-        Captures the training data *and* the numerical internals — the
-        Cholesky factor, the solved ``alpha``, the standardisation
-        constants, the jitter actually used and the hyperparameters the
-        factor was computed under.  Restoring all of them (rather than
-        refitting from the data) matters for bit-identical resume: a
-        freshly refactorised Gram can differ from an incrementally
-        extended factor in the last bit, so a resumed BO round must
-        continue from the *same* factor the interrupted run held.
+        O(1) facts only: the settings, the hyperparameters (current and
+        those of the factor) and the factorisation schedule.  The
+        factor, ``alpha`` and the standardisation are rebuilt by
+        :meth:`load_state_dict` from the rows the GP's owner holds.
         """
         fit_params = None
         if self._fit_params is not None:
@@ -217,39 +216,35 @@ class GaussianProcess:
             "noise_variance": self.noise_variance,
             "normalize_y": self.normalize_y,
             "jitter": self.jitter,
-            "jitter_used": self._jitter_used,
-            "X": encode_array(self._X),
-            "y": encode_array(self._y),
-            "y_mean": self._y_mean,
-            "y_std": self._y_std,
-            "chol": encode_array(self._chol),
-            "alpha": encode_array(self._alpha),
             "fit_params": fit_params,
+            "schedule": list(self._schedule),
         }
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot (inverse operation)."""
-        self.kernel.set_params(**{str(k): float(v) for k, v
-                                  in dict(state["kernel_params"]).items()})  # type: ignore[arg-type]
-        self.noise_variance = float(state["noise_variance"])  # type: ignore[arg-type]
+    def load_state_dict(self, state: Dict[str, object], X: np.ndarray,
+                        y: np.ndarray) -> None:
+        """Restore a :meth:`state_dict` snapshot by replaying its schedule.
+
+        The GP was conditioned on a prefix of the owner's ``X``, ``y``.
+        The schedule's :meth:`fit` and extensions run again on those rows
+        under the factor's hyperparameters: the same operations in the
+        same order, so the factor, ``alpha``, the jitter used and the
+        standardisation come back bit-identical.  (A refit from scratch
+        could differ from an extended factor in the last bit.)
+        """
         self.normalize_y = bool(state["normalize_y"])
         self.jitter = float(state["jitter"])  # type: ignore[arg-type]
-        self._jitter_used = float(state["jitter_used"])  # type: ignore[arg-type]
-        self._X = decode_array(state["X"])  # type: ignore[arg-type]
-        self._y = decode_array(state["y"])  # type: ignore[arg-type]
-        self._y_mean = float(state["y_mean"])  # type: ignore[arg-type]
-        self._y_std = float(state["y_std"])  # type: ignore[arg-type]
-        self._chol = decode_array(state["chol"])  # type: ignore[arg-type]
-        self._alpha = decode_array(state["alpha"])  # type: ignore[arg-type]
-        fit_params = state.get("fit_params")
-        if fit_params is None:
-            self._fit_params = None
-        else:
-            self._fit_params = (
-                {str(k): float(v) for k, v
-                 in dict(fit_params["params"]).items()},  # type: ignore[index]
-                float(fit_params["noise_variance"]),  # type: ignore[index]
-            )
+        self._X = self._y = self._chol = self._alpha = self._fit_params = None
+        self._schedule = []
+        schedule = [int(n) for n in state["schedule"]]  # type: ignore[attr-defined]
+        if schedule:
+            fit_params = state["fit_params"]
+            self.kernel.set_params(**fit_params["params"])  # type: ignore[index]
+            self.noise_variance = float(fit_params["noise_variance"])  # type: ignore[index]
+            self.fit(X[:schedule[0]], y[:schedule[0]])
+            for n in schedule[1:]:
+                self._extend(X[:n], y[:n])
+        self.kernel.set_params(**state["kernel_params"])  # type: ignore[arg-type]
+        self.noise_variance = float(state["noise_variance"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Prediction (Equation 3)

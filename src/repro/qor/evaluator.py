@@ -386,26 +386,22 @@ class QoREvaluator:
         self,
         records: Sequence[SequenceEvaluation],
         *,
-        num_computed: Optional[int] = None,
-        num_persistent_hits: int = 0,
+        num_computed: int,
+        num_persistent_hits: int,
     ) -> None:
         """Restore a previous run segment's history (checkpoint resume).
 
-        Replaces the history and counters with ``records`` and
-        repopulates the memo cache from them, so that re-visits of
-        pre-checkpoint sequences stay free exactly as they would have in
-        the uninterrupted run.  The
-        counter split defaults to "everything was computed"; pass the
-        checkpointed ``num_computed``/``num_persistent_hits`` to keep
-        the diagnostic split exact.  (Pending deferred persistent writes
-        of the interrupted segment are *not* recreated: the persistent
-        cache is an optimisation layer and never affects results.)
+        Replaces the history and counters with ``records`` and the
+        checkpointed counters, and repopulates the memo cache from the
+        records, so that re-visits of pre-checkpoint sequences stay free
+        exactly as they would have in the uninterrupted run.  (Pending
+        deferred persistent writes of the interrupted segment are *not*
+        recreated: the persistent cache is an optimisation layer and
+        never affects results.)
         """
         records = list(records)
         self.history = records
         self._num_evaluations = len(records)
-        if num_computed is None:
-            num_computed = len(records) - num_persistent_hits
         self._num_computed = int(num_computed)
         self._num_persistent_hits = int(num_persistent_hits)
         for record in records:

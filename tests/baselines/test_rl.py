@@ -14,6 +14,7 @@ from repro.baselines.rl import (
 from repro.baselines.rl.networks import AdamState, softmax
 from repro.bo.space import SequenceSpace
 from repro.circuits import make_adder
+from repro.mapping.lut_mapper import LutMapper
 from repro.qor import QoREvaluator
 
 
@@ -128,7 +129,7 @@ class TestEnvironment:
         evaluator = QoREvaluator(adder)
         env = SynthesisEnvironment(evaluator, space=space)
         env.reset()
-        initial_qor = env._qor_of(evaluator.aig)
+        initial_qor = env._qor_of(env.mapper.map(evaluator.aig))
         rewards = []
         done = False
         actions = [6, 0, 2]
@@ -140,6 +141,23 @@ class TestEnvironment:
         final_record = evaluator.evaluate(
             space.to_names(env.current_sequence()))
         assert sum(rewards) == pytest.approx(initial_qor - final_record.qor, abs=1e-9)
+
+    def test_each_state_is_mapped_once(self, adder, space, monkeypatch):
+        env = SynthesisEnvironment(QoREvaluator(adder), space=space)
+        calls = []
+        original = LutMapper.map
+
+        def counting_map(mapper, aig):
+            calls.append(aig)
+            return original(mapper, aig)
+
+        monkeypatch.setattr(LutMapper, "map", counting_map)
+        env.reset()
+        for action in (6, 0, 2):
+            env.step(action)
+        # One mapping per step: the reward and the next state's features
+        # share it, and reset reuses the initial AIG's mapping.
+        assert len(calls) == env.episode_length
 
     def test_step_after_done_raises(self, adder, space):
         env = SynthesisEnvironment(QoREvaluator(adder), space=space)

@@ -1,5 +1,7 @@
 """Tests for GP regression and the projected Adam optimiser."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,42 @@ class TestGaussianProcess:
         params = kernel.get_params()
         assert 0 < params["theta_match"] <= 1.0
         assert 0 < params["theta_gap"] <= 1.0
+
+    def test_state_dict_replays_to_the_identical_factor(self, rng):
+        X = rng.integers(0, 11, size=(12, 6))
+        y = rng.normal(size=12)
+        gp = GaussianProcess(SubsequenceStringKernel(max_subsequence_length=3))
+        gp.fit_hyperparameters(X[:6], y[:6], num_steps=2,
+                               param_names=["theta_match", "theta_gap"])
+        gp.update_or_fit(X[:8], y[:8])    # extension
+        gp.update_or_fit(X[:8], y[:8])    # same rows: re-solve only
+        gp.update_or_fit(X[:10], y[:10])  # extension
+        state = json.loads(json.dumps(gp.state_dict()))
+        # O(1) facts only: no rows, targets or factor.
+        assert state["schedule"] == [6, 8, 10]
+        assert not {"X", "y", "chol", "alpha"} & set(state)
+
+        restored = GaussianProcess(
+            SubsequenceStringKernel(max_subsequence_length=3))
+        restored.load_state_dict(state, X, y)
+        for name in ("_X", "_y", "_chol", "_alpha"):
+            assert np.array_equal(getattr(restored, name), getattr(gp, name))
+        for name in ("_y_mean", "_y_std", "_jitter_used", "_fit_params",
+                     "_schedule", "noise_variance"):
+            assert getattr(restored, name) == getattr(gp, name)
+        assert restored.kernel.get_params() == gp.kernel.get_params()
+        # The restored GP keeps extending the same factor.
+        gp.update_or_fit(X, y)
+        restored.update_or_fit(X, y)
+        assert restored._schedule == gp._schedule == [6, 8, 10, 12]
+        assert np.array_equal(restored._chol, gp._chol)
+        for got, want in zip(restored.predict(X[:4]), gp.predict(X[:4])):
+            assert np.array_equal(got, want)
+
+    def test_state_dict_of_an_unconditioned_gp(self):
+        gp = GaussianProcess(SquaredExponentialKernel(1))
+        restored = GaussianProcess(SquaredExponentialKernel(1))
+        restored.load_state_dict(gp.state_dict(), np.zeros((0, 1)), np.zeros(0))
+        assert restored._schedule == [] and restored._chol is None
+        with pytest.raises(RuntimeError):
+            restored.predict(np.zeros((1, 1)))
