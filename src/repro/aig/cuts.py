@@ -282,17 +282,31 @@ def cut_truth_table(aig: AIG, root: int, cut: Cut) -> int:
     """Truth table of ``root`` expressed over the cut leaves.
 
     Leaf ``i`` of the cut corresponds to truth-table variable ``i``.  The
-    result has ``2 ** cut.size`` bits.  The cone is evaluated in one
-    depth-first walk: a node's table is computed as soon as both fanin
-    tables are known.
+    result has ``2 ** cut.size`` bits.
     """
     is_and, fanin0, fanin1 = aig.node_arrays()
-    n = cut.size
-    tables: Dict[int, int] = {0: 0}  # constant node
-    for idx, leaf in enumerate(cut.leaves):
-        tables[leaf] = truth.var_table(idx, n)
+    return cone_table(root, cut.leaves, is_and, fanin0, fanin1,
+                      truth.var_tables(cut.size))
 
-    full = truth.table_mask(n)
+
+def cone_table(
+    root: int,
+    leaves: Tuple[int, ...],
+    is_and: Sequence[int],
+    fanin0: Sequence[int],
+    fanin1: Sequence[int],
+    var_tables: Tuple[int, ...],
+) -> int:
+    """:func:`cut_truth_table` on the graph's flat arrays.
+
+    ``var_tables`` is :func:`repro.aig.truth.var_tables` of
+    ``len(leaves)``; the cut passes look it up once per cut size instead
+    of once per cut.  The cone is evaluated in one depth-first walk: a
+    node's table is computed as soon as both fanin tables are known.
+    """
+    full = (1 << (1 << len(leaves))) - 1
+    tables: Dict[int, int] = {0: 0}  # constant node
+    tables.update(zip(leaves, var_tables))
     stack = [root]
     while stack:
         var = stack[-1]
@@ -302,7 +316,7 @@ def cut_truth_table(aig: AIG, root: int, cut: Cut) -> int:
         if not is_and[var]:
             # A PI inside the cone that is not a leaf cannot happen for a
             # valid cut; guard defensively.
-            raise ValueError(f"cut {cut.leaves} does not cover node {root}")
+            raise ValueError(f"cut {leaves} does not cover node {root}")
         f0 = fanin0[var]
         f1 = fanin1[var]
         t0 = tables.get(f0 >> 1)
@@ -316,9 +330,3 @@ def cut_truth_table(aig: AIG, root: int, cut: Cut) -> int:
         stack.pop()
         tables[var] = (t0 ^ full if f0 & 1 else t0) & (t1 ^ full if f1 & 1 else t1)
     return tables[root]
-
-
-def cut_volume(aig: AIG, root: int, cut: Cut) -> int:
-    """Number of AND nodes strictly inside the cut cone (the MFFC-ish volume)."""
-    is_and = aig.node_arrays()[0]
-    return sum(1 for var in cut_cone_vars(aig, root, cut) if is_and[var])

@@ -4,8 +4,8 @@ Simulation is used in three places in the reproduction:
 
 * functional verification that synthesis passes preserve behaviour
   (exhaustive simulation of small circuits),
-* signature-based candidate filtering for ``fraig`` and ``resub``
-  (random 64/256-bit word simulation), and
+* signature-based candidate filtering for ``fraig``, ``resub`` and
+  ``rewrite`` (random 64/256-bit word simulation), and
 * truth-table computation of collapsed cones.
 """
 
@@ -127,12 +127,46 @@ def random_simulation(
     aig: AIG, num_words: int = 4, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
     """Simulate all nodes on random patterns; returns node signatures."""
+    return node_signatures(aig, _random_patterns(aig, num_words, rng))
+
+
+def _random_patterns(
+    aig: AIG, num_words: int, rng: Optional[np.random.Generator]
+) -> np.ndarray:
+    """One row of ``num_words`` random uint64 words per PI."""
     rng = rng if rng is not None else np.random.default_rng(2022)
-    patterns = rng.integers(
+    return rng.integers(
         0, np.iinfo(np.uint64).max, size=(aig.num_pis, num_words), dtype=np.uint64,
         endpoint=True,
     )
-    return node_signatures(aig, patterns)
+
+
+def random_signatures(
+    aig: AIG, num_words: int = 4, rng: Optional[np.random.Generator] = None
+) -> List[int]:
+    """Random-simulation signatures as one Python int per variable.
+
+    Draws the same patterns as :func:`random_simulation` from the same
+    ``rng`` and packs each variable's words little-endian, so
+    ``random_signatures(aig, w, rng_a)[var] ==
+    int.from_bytes(random_simulation(aig, w, rng_b)[var].tobytes(), "little")``
+    for equally seeded generators.  The cut passes compare and combine
+    whole signatures, which Python ints do in one operation each.
+    """
+    patterns = _random_patterns(aig, num_words, rng)
+    ones = (1 << (64 * num_words)) - 1
+    is_and, fanin0, fanin1 = aig.node_arrays()
+    sigs = [0] * len(is_and)
+    for row, var in enumerate(aig.pis):
+        sigs[var] = int.from_bytes(patterns[row].tobytes(), "little")
+    for var in range(1, len(is_and)):
+        if is_and[var]:
+            f0 = fanin0[var]
+            f1 = fanin1[var]
+            s0 = sigs[f0 >> 1]
+            s1 = sigs[f1 >> 1]
+            sigs[var] = (s0 ^ ones if f0 & 1 else s0) & (s1 ^ ones if f1 & 1 else s1)
+    return sigs
 
 
 def exhaustive_output_tables(aig: AIG) -> List[int]:

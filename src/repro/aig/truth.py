@@ -38,6 +38,12 @@ def var_table(index: int, num_vars: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=MAX_VARS + 1)
+def var_tables(num_vars: int) -> Tuple[int, ...]:
+    """``var_table(i, num_vars)`` for every input ``i``, as one tuple."""
+    return tuple(var_table(index, num_vars) for index in range(num_vars))
+
+
 def const_table(value: bool, num_vars: int) -> int:
     return table_mask(num_vars) if value else 0
 

@@ -9,28 +9,21 @@ decisions that 4-input rewriting cannot see across.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict
 
 from repro.aig import truth
-from repro.aig.cuts import Cut, cut_cone_vars, cut_truth_table, enumerate_cuts
-from repro.aig.graph import AIG, Literal
+from repro.aig.cuts import cone_table, cut_cone_vars, enumerate_cuts
+from repro.aig.graph import AIG
 from repro.synth import sop
-from repro.synth.rewrite_framework import Replacement, mffc_size, rebuild_with_replacements
-
-
-def _refactor_candidate(table: int, num_vars: int) -> Tuple[sop.FactoredNode, int]:
-    """Factored form and its two-input gate cost for a cone function."""
-    ff = sop.factor_truth_table(table, num_vars)
-    return ff, _ff_gate_count(ff)
-
-
-def _ff_gate_count(node: sop.FactoredNode) -> int:
-    if node.kind == "lit":
-        return 0
-    cost = sum(_ff_gate_count(child) for child in node.children)
-    if node.kind == "not":
-        return cost
-    return cost + max(0, len(node.children) - 1)
+from repro.synth.rewrite_framework import (
+    Replacement,
+    cone_mffc,
+    factored_builder,
+    gain_may_exceed,
+    largest_cut,
+    literal_twins,
+    rebuild_with_replacements,
+)
 
 
 def refactor(
@@ -41,6 +34,11 @@ def refactor(
     max_table_vars: int = 12,
 ) -> AIG:
     """Refactor the AIG by re-deriving factored forms of large cones.
+
+    Each node's largest cut is refactored when the factored form costs
+    fewer gates than the cut's MFFC frees (no more, for ``refactor -z``).
+    The truth table and the factoring are skipped when the MFFC already
+    rules that out, by the exact gain bound of :mod:`repro.synth.rewrite`.
 
     Parameters
     ----------
@@ -55,39 +53,33 @@ def refactor(
         return aig.copy()
     cut_size = min(cut_size, max_table_vars)
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts, include_trivial=False)
+    is_and, fanin0, fanin1 = aig.node_arrays()
     fanouts = aig.fanout_array()
+    twins = literal_twins(aig)
+    var_tables = [truth.var_tables(n) for n in range(cut_size + 1)]
+    floor = -1 if zero_cost else 0
     replacements: Dict[int, Replacement] = {}
     claimed: set = set()
 
     # Visit nodes from the outputs downwards so that large cones get
     # priority over their sub-cones.
-    for node in reversed(list(aig.nodes())):
-        if not node.is_and or node.var in claimed:
-            continue
-        node_cuts = [c for c in cuts.get(node.var, []) if 2 <= c.size <= cut_size]
-        if not node_cuts:
+    for var in range(len(is_and) - 1, 0, -1):
+        if not is_and[var] or var in claimed:
             continue
         # Prefer the largest cut: that is the point of refactoring.
-        cut = max(node_cuts, key=lambda c: (c.size, c.leaves))
-        table = cut_truth_table(aig, node.var, cut)
-        mask = truth.table_mask(cut.size)
-        old_cost = mffc_size(aig, node.var, cut, fanouts)
-        if table == 0 or table == mask:
-            builder = (lambda new, leaves, arrival: 0) if table == 0 else (
-                lambda new, leaves, arrival: 1
-            )
-            replacements[node.var] = Replacement(cut=cut, builder=builder, gain=old_cost)
-            for interior in cut_cone_vars(aig, node.var, cut):
-                claimed.add(interior)
+        cut = largest_cut(cuts[var])
+        if cut is None:
             continue
-        ff, new_cost = _refactor_candidate(table, cut.size)
-        gain = old_cost - new_cost
-        if gain > 0 or (zero_cost and gain == 0):
-            replacements[node.var] = Replacement(
-                cut=cut, builder=_ff_builder(ff), gain=gain
-            )
-            for interior in cut_cone_vars(aig, node.var, cut):
-                claimed.add(interior)
+        leaves = cut.leaves
+        mffc = cone_mffc(var, leaves, is_and, fanin0, fanin1, fanouts)
+        if not gain_may_exceed(floor, mffc, leaves, twins[var]):
+            continue
+        table = cone_table(var, leaves, is_and, fanin0, fanin1, var_tables[len(leaves)])
+        ff, new_cost = sop.factor_with_cost(table, len(leaves))
+        gain = mffc - new_cost
+        if gain > floor:
+            replacements[var] = Replacement(cut=cut, builder=factored_builder(ff), gain=gain)
+            claimed.update(cut_cone_vars(aig, var, cut))
 
     if not replacements:
         return aig.copy()
@@ -95,13 +87,6 @@ def refactor(
     if result.num_ands > aig.num_ands and not zero_cost:
         return aig.copy()
     return result
-
-
-def _ff_builder(ff: sop.FactoredNode):
-    def builder(new: AIG, leaf_literals: Sequence[Literal], arrival) -> Literal:
-        return sop.build_factored_form(new, ff, leaf_literals)
-
-    return builder
 
 
 def refactor_z(aig: AIG, cut_size: int = 10, max_cuts: int = 4) -> AIG:

@@ -20,13 +20,13 @@ infrastructure.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aig import truth
-from repro.aig.cuts import Cut, cut_truth_table, enumerate_cuts
-from repro.aig.graph import AIG, Literal, lit_not, lit_var
+from repro.aig.cuts import Cut, cone_table, enumerate_cuts
+from repro.aig.graph import AIG
 from repro.synth import sop
-from repro.synth.rewrite_framework import Replacement, rebuild_with_replacements
+from repro.synth.rewrite_framework import Replacement, factored_builder, rebuild_with_replacements
 
 
 # ----------------------------------------------------------------------
@@ -51,39 +51,32 @@ def _delay_restructure(
     if depth == 0:
         return aig.copy()
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts, include_trivial=False)
+    is_and, fanin0, fanin1 = aig.node_arrays()
+    var_tables = [truth.var_tables(n) for n in range(cut_size + 1)]
     replacements: Dict[int, Replacement] = {}
     # Criticality threshold: nodes within one level of the critical depth
     # through any PO path.  We approximate with required times.
     required = _required_times(aig, depth)
 
-    for node in aig.nodes():
-        if not node.is_and:
+    # Choose the cut with minimum leaf arrival spread (best balancing
+    # potential) preferring larger cuts.
+    def cut_score(cut: Cut) -> Tuple[int, int]:
+        leaf_levels = [levels[leaf] for leaf in cut.leaves]
+        return (-(max(leaf_levels) - min(leaf_levels)), len(cut.leaves))
+
+    for var in range(1, len(is_and)):
+        if not is_and[var] or required[var] > levels[var]:
             continue
-        slack = required[node.var] - levels[node.var]
-        if slack > 0:
-            continue
-        node_cuts = [c for c in cuts.get(node.var, []) if 2 <= c.size <= cut_size]
+        node_cuts = [c for c in cuts[var] if len(c.leaves) >= 2]
         if not node_cuts:
             continue
-        # Choose the cut with minimum leaf arrival spread (best balancing
-        # potential) preferring larger cuts.
-        def cut_score(cut: Cut) -> Tuple[int, int]:
-            leaf_levels = [levels[leaf] for leaf in cut.leaves]
-            return (-(max(leaf_levels) - min(leaf_levels)), cut.size)
-
         cut = max(node_cuts, key=cut_score)
-        table = cut_truth_table(aig, node.var, cut)
-        mask = truth.table_mask(cut.size)
-        if table == 0 or table == mask:
-            builder = (lambda new, leaves, arrival: 0) if table == 0 else (
-                lambda new, leaves, arrival: 1
-            )
-            replacements[node.var] = Replacement(cut=cut, builder=builder)
-            continue
-        ff = rebuild(table, cut.size)
+        leaves = cut.leaves
+        table = cone_table(var, leaves, is_and, fanin0, fanin1, var_tables[len(leaves)])
+        ff = rebuild(table, len(leaves))
         if ff is None:
             continue
-        replacements[node.var] = Replacement(cut=cut, builder=_delay_builder(ff))
+        replacements[var] = Replacement(cut=cut, builder=factored_builder(ff, delay_aware=True))
 
     if not replacements:
         return aig.copy()
@@ -106,13 +99,6 @@ def _required_times(aig: AIG, depth: int) -> List[int]:
             if limit < required[fv]:
                 required[fv] = limit
     return required
-
-
-def _delay_builder(ff: sop.FactoredNode):
-    def builder(new: AIG, leaf_literals: Sequence[Literal], arrival) -> Literal:
-        return sop.build_factored_form(new, ff, leaf_literals, arrival=arrival)
-
-    return builder
 
 
 # ----------------------------------------------------------------------

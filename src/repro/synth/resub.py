@@ -23,8 +23,13 @@ import numpy as np
 from repro.aig import truth
 from repro.aig.cuts import Cut, cut_cone_vars, cut_truth_table, enumerate_cuts
 from repro.aig.graph import AIG, Literal, lit_not, lit_var
-from repro.aig.simulation import random_simulation
-from repro.synth.rewrite_framework import Replacement, mffc_size, rebuild_with_replacements
+from repro.aig.simulation import random_signatures
+from repro.synth.rewrite_framework import (
+    Replacement,
+    cone_mffc,
+    largest_cut,
+    rebuild_with_replacements,
+)
 
 
 def resub(
@@ -51,52 +56,47 @@ def resub(
     if aig.num_ands == 0:
         return aig.copy()
     rng = rng if rng is not None else np.random.default_rng(17)
-    signatures = random_simulation(aig, num_words=num_sim_words, rng=rng)
+    # Python-int signatures: integer AND/compare in the divisor-pair loop
+    # is much faster than per-pair numpy calls.
+    sig_int = random_signatures(aig, num_words=num_sim_words, rng=rng)
+    sig_mask = (1 << (64 * num_sim_words)) - 1
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts, include_trivial=False)
+    is_and, fanin0, fanin1 = aig.node_arrays()
+    num_vars = len(is_and)
     fanouts = aig.fanout_array()
     levels = aig.levels_array()
     replacements: Dict[int, Replacement] = {}
     claimed: set = set()
 
-    # Convert numpy signatures to Python ints once: integer AND/compare in
-    # the divisor-pair loop is much faster than per-pair numpy calls.
-    sig_mask = (1 << (64 * num_sim_words)) - 1
-    sig_int: List[int] = [
-        int.from_bytes(signatures[var].tobytes(), "little") for var in range(aig.num_vars)
-    ]
-
-    for node in aig.nodes():
-        if not node.is_and or node.var in claimed:
+    for var in range(1, num_vars):
+        if not is_and[var] or var in claimed:
             continue
-        node_cuts = [c for c in cuts.get(node.var, []) if 2 <= c.size <= cut_size]
-        if not node_cuts:
+        cut = largest_cut(cuts[var])
+        if cut is None:
             continue
-        cut = max(node_cuts, key=lambda c: (c.size, c.leaves))
-        gain_bound = mffc_size(aig, node.var, cut, fanouts)
-        if gain_bound <= 0:
-            continue
-        interior = cut_cone_vars(aig, node.var, cut)
-        cone = set(interior)
-        leaves = set(cut.leaves)
-        # Divisors: nodes outside this node's MFFC whose level is below the
-        # node's and which are not the node itself.  We take leaves plus
-        # nearby nodes (bounded), preferring structurally close ones.
-        divisor_vars: List[int] = list(cut.leaves)
-        for candidate in range(1, aig.num_vars):
-            if len(divisor_vars) >= max_divisors:
+        leaves = cut.leaves
+        gain_bound = cone_mffc(var, leaves, is_and, fanin0, fanin1, fanouts)
+        interior = cut_cone_vars(aig, var, cut)
+        excluded = set(interior)
+        excluded.update(leaves)
+        # Divisors: the leaves, then nodes below the node's level that are
+        # outside its cone, in variable order (PIs and shallow logic first).
+        level = levels[var]
+        divisor_vars: List[int] = list(leaves)
+        room = max_divisors - len(divisor_vars)
+        for candidate in range(1, num_vars):
+            if room <= 0:
                 break
-            if candidate == node.var or candidate in cone or candidate in leaves:
-                continue
-            if levels[candidate] >= levels[node.var]:
-                continue
-            divisor_vars.append(candidate)
+            if levels[candidate] < level and candidate not in excluded:
+                divisor_vars.append(candidate)
+                room -= 1
 
         match = _find_resub(
-            aig, node.var, cut, divisor_vars, sig_int, sig_mask, gain_bound, zero_cost,
+            aig, var, cut, divisor_vars, sig_int, sig_mask, gain_bound, zero_cost,
         )
         if match is None:
             continue
-        replacements[node.var] = Replacement(
+        replacements[var] = Replacement(
             cut=cut, builder=_resub_builder(aig, match), gain=match.gain
         )
         claimed.update(interior)

@@ -1,65 +1,47 @@
 """Cut-based AIG rewriting (ABC ``rewrite`` / ``rewrite -z`` analogue).
 
-For every AND node we enumerate 4-feasible cuts, compute the cut function,
-and synthesise a minimal replacement structure for its NPN class using a
-memoised exhaustive/ISOP-based synthesiser.  A replacement is accepted when
-the number of nodes it adds is smaller than the node's maximum fanout-free
-cone (strictly smaller for ``rewrite``, allowing equality for the
-zero-cost-replacement variant ``rewrite -z``).
+For every AND node we enumerate 4-feasible cuts, compute each cut's
+function as a truth table and ISOP-factor it (the cheaper of the on-set
+and off-set cover, memoised per table).  The cut with the largest gain —
+MFFC size minus the factored form's two-input gate count — is applied
+when the gain is positive (``rewrite``) or non-negative (the
+zero-cost-replacement variant ``rewrite -z``).  Ties go to the earlier
+cut in priority order.
+
+**Gain bound.**  Most cuts cannot win, and for them the truth table and
+the factoring are skipped.  A cut's MFFC is computed first; its gain is
+at most ``MFFC − lb``, where ``lb`` is a lower bound on the cost of any
+replacement: 0 when the cut function may be a constant or a leaf
+literal, 1 otherwise (a function of two or more leaves needs an AND).
+The function cannot be a constant or a literal when the root's 64-bit
+random-simulation signature is neither all-zeros, all-ones, nor equal to
+a leaf's signature or its complement.  A cut is skipped when
+``MFFC − lb`` cannot exceed the running best gain, floored at the gain
+the pass needs to accept anything (above 0 for ``rewrite``, above −1 for
+``rewrite -z``).  The bound is exact: a skipped cut's gain is at most
+that floor, so it can never be the first cut to reach an accepted
+maximum.  The chosen cuts, and so the output graph, are the same as
+without it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.aig import truth
-from repro.aig.cuts import Cut, cut_cone_vars, cut_truth_table, enumerate_cuts
-from repro.aig.graph import AIG, Literal, lit_not
+from repro.aig.cuts import Cut, cone_table, cut_cone_vars, enumerate_cuts
+from repro.aig.graph import AIG
 from repro.synth import sop
-from repro.synth.rewrite_framework import Replacement, mffc_size, rebuild_with_replacements
+from repro.synth.rewrite_framework import (
+    Replacement,
+    cone_mffc,
+    factored_builder,
+    gain_may_exceed,
+    literal_twins,
+    rebuild_with_replacements,
+)
 
 
-# ----------------------------------------------------------------------
-# Small-function resynthesis library
-# ----------------------------------------------------------------------
-@lru_cache(maxsize=4096)
-def _optimal_structure(table: int, num_vars: int) -> Tuple[sop.FactoredNode, int]:
-    """Best known factored-form implementation of a small function.
-
-    Uses ISOP-based quick factoring on both phases; the returned cost is
-    an upper bound on the number of AND nodes needed (literal count minus
-    one per gate level is a loose bound, so we cost by actually counting
-    two-input gates required by the tree).
-    """
-    ff = sop.factor_truth_table(table, num_vars)
-    return ff, _ff_and_count(ff)
-
-
-def _ff_and_count(node: sop.FactoredNode) -> int:
-    """Number of two-input AND gates needed to realise a factored form."""
-    if node.kind == "lit":
-        return 0
-    child_cost = sum(_ff_and_count(child) for child in node.children)
-    if node.kind == "not":
-        return child_cost
-    arity = len(node.children)
-    return child_cost + max(0, arity - 1)
-
-
-def _make_builder(table: int, num_vars: int):
-    """Builder closure instantiating the optimal structure for ``table``."""
-    ff, _ = _optimal_structure(table, num_vars)
-
-    def builder(new: AIG, leaf_literals: Sequence[Literal], arrival) -> Literal:
-        return sop.build_factored_form(new, ff, leaf_literals)
-
-    return builder
-
-
-# ----------------------------------------------------------------------
-# The pass
-# ----------------------------------------------------------------------
 def rewrite(aig: AIG, zero_cost: bool = False, cut_size: int = 4, max_cuts: int = 8) -> AIG:
     """Rewrite the AIG using precomputed small-function structures.
 
@@ -76,54 +58,42 @@ def rewrite(aig: AIG, zero_cost: bool = False, cut_size: int = 4, max_cuts: int 
     if aig.num_ands == 0:
         return aig.copy()
     cuts = enumerate_cuts(aig, k=cut_size, max_cuts=max_cuts, include_trivial=False)
+    is_and, fanin0, fanin1 = aig.node_arrays()
     fanouts = aig.fanout_array()
+    twins = literal_twins(aig)
+    var_tables = [truth.var_tables(n) for n in range(cut_size + 1)]
+    # A node's best cut must gain more than ``floor`` to be applied.
+    floor = -1 if zero_cost else 0
     replacements: Dict[int, Replacement] = {}
     # Nodes already claimed as interior of an accepted replacement cone; we
     # avoid planning overlapping replacements in a single pass, which keeps
     # gain estimates trustworthy.
     claimed: set = set()
 
-    for node in aig.nodes():
-        if not node.is_and or node.var in claimed:
+    for var in range(1, len(is_and)):
+        if not is_and[var] or var in claimed:
             continue
-        best: Optional[Tuple[int, Cut, int]] = None  # (gain, cut, table)
-        for cut in cuts.get(node.var, []):
-            if cut.size < 2 or cut.size > cut_size:
+        root_twins = twins[var]
+        bar = floor
+        best: Optional[Tuple[Cut, sop.FactoredNode]] = None
+        for cut in cuts[var]:
+            leaves = cut.leaves
+            num_vars = len(leaves)
+            if num_vars < 2:
                 continue
-            table = cut_truth_table(aig, node.var, cut)
-            num_vars = cut.size
-            mask = truth.table_mask(num_vars)
-            if table == 0 or table == mask:
-                # Constant cone: replacing it is always maximal gain.
-                gain = mffc_size(aig, node.var, cut, fanouts)
-                candidate = (gain, cut, table)
-                if best is None or candidate[0] > best[0]:
-                    best = candidate
+            mffc = cone_mffc(var, leaves, is_and, fanin0, fanin1, fanouts)
+            if not gain_may_exceed(bar, mffc, leaves, root_twins):
                 continue
-            _, new_cost = _optimal_structure(table, num_vars)
-            old_cost = mffc_size(aig, node.var, cut, fanouts)
-            gain = old_cost - new_cost
-            if best is None or gain > best[0]:
-                best = (gain, cut, table)
+            table = cone_table(var, leaves, is_and, fanin0, fanin1, var_tables[num_vars])
+            ff, new_cost = sop.factor_with_cost(table, num_vars)
+            if mffc - new_cost > bar:
+                bar = mffc - new_cost
+                best = (cut, ff)
         if best is None:
             continue
-        gain, cut, table = best
-        if gain > 0 or (zero_cost and gain == 0):
-            mask = truth.table_mask(cut.size)
-            if table == 0:
-                replacements[node.var] = Replacement(
-                    cut=cut, builder=lambda new, leaves, arrival: 0, gain=gain
-                )
-            elif table == mask:
-                replacements[node.var] = Replacement(
-                    cut=cut, builder=lambda new, leaves, arrival: 1, gain=gain
-                )
-            else:
-                replacements[node.var] = Replacement(
-                    cut=cut, builder=_make_builder(table, cut.size), gain=gain
-                )
-            for interior in cut_cone_vars(aig, node.var, cut):
-                claimed.add(interior)
+        cut, ff = best
+        replacements[var] = Replacement(cut=cut, builder=factored_builder(ff), gain=bar)
+        claimed.update(cut_cone_vars(aig, var, cut))
 
     if not replacements:
         return aig.copy()

@@ -27,8 +27,9 @@ Cube = Tuple[int, int]
 class FactoredNode:
     """A node of a factored form tree.
 
-    ``kind`` is one of ``"lit"``, ``"and"``, ``"or"``.  Literal leaves carry
-    ``(var, complemented)``; internal nodes carry a tuple of children.
+    ``kind`` is one of ``"lit"``, ``"and"``, ``"or"``, ``"not"``.  Literal
+    leaves carry ``(var, complemented)``; internal nodes carry a tuple of
+    children.
     """
 
     kind: str
@@ -41,6 +42,15 @@ class FactoredNode:
         if self.kind == "lit":
             return 1
         return sum(child.literal_count() for child in self.children)
+
+    def gate_count(self) -> int:
+        """Two-input AND gates needed to instantiate the tree."""
+        if self.kind == "lit":
+            return 0
+        cost = sum(child.gate_count() for child in self.children)
+        if self.kind == "not":
+            return cost
+        return cost + max(0, len(self.children) - 1)
 
     def depth(self) -> int:
         if self.kind == "lit" or not self.children:
@@ -215,6 +225,13 @@ def factor_truth_table(table: int, num_vars: int) -> FactoredNode:
     if ff_off.literal_count() + 1 < ff_on.literal_count():
         return FactoredNode(kind="not", children=(ff_off,))
     return ff_on
+
+
+@lru_cache(maxsize=4096)
+def factor_with_cost(table: int, num_vars: int) -> Tuple[FactoredNode, int]:
+    """:func:`factor_truth_table` and its :meth:`FactoredNode.gate_count`."""
+    ff = factor_truth_table(table, num_vars)
+    return ff, ff.gate_count()
 
 
 # ----------------------------------------------------------------------

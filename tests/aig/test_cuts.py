@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aig import truth
-from repro.aig.cuts import Cut, cut_cone_vars, cut_truth_table, cut_volume, enumerate_cuts
+from repro.aig.cuts import Cut, cut_cone_vars, cut_truth_table, enumerate_cuts
 from repro.aig.graph import AIG, lit_var
 
 
@@ -87,10 +87,6 @@ class TestConeAndTruthTables:
         cone = cut_cone_vars(aig, root, Cut(tuple(sorted(pis))))
         assert root in cone
         assert len(cone) == 3  # the three AND nodes
-
-    def test_cut_volume(self, and_tree):
-        aig, pis, root = and_tree
-        assert cut_volume(aig, root, Cut(tuple(sorted(pis)))) == 3
 
     def test_truth_table_of_and_tree(self, and_tree):
         aig, pis, root = and_tree

@@ -8,6 +8,7 @@ from repro.aig.simulation import (
     exhaustive_output_tables,
     functionally_equivalent,
     node_signatures,
+    random_signatures,
     random_simulation,
     simulate,
     simulate_words,
@@ -70,6 +71,14 @@ class TestWordSimulation:
         a = random_simulation(small_adder, num_words=2, rng=np.random.default_rng(5))
         b = random_simulation(small_adder, num_words=2, rng=np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("num_words", [1, 4])
+    def test_random_signatures_pack_random_simulation(self, small_multiplier, num_words):
+        words = random_simulation(small_multiplier, num_words=num_words,
+                                  rng=np.random.default_rng(17))
+        sigs = random_signatures(small_multiplier, num_words=num_words,
+                                 rng=np.random.default_rng(17))
+        assert sigs == [int.from_bytes(row.tobytes(), "little") for row in words]
 
 
 class TestExhaustiveTables:

@@ -1,6 +1,6 @@
 """The synthesis kernels against brute-force oracles on random AIGs.
 
-Two kernels use shortcuts whose results must equal the plain definition:
+Three kernels use shortcuts whose results must equal the plain definition:
 
 * ``mffc_size`` dereferences from the root instead of sweeping the
   whole cut cone; the oracle below is the reverse-topological cone sweep.
@@ -8,6 +8,10 @@ Two kernels use shortcuts whose results must equal the plain definition:
   cover the target signature; the oracle below tries every pair.  Both
   return the first verified candidate in the same order, so the match
   (kind, divisors, polarities, gain) must be identical.
+* ``rewrite`` and ``refactor`` skip the truth table of every cut whose
+  gain bound (``gain_may_exceed``) says it cannot win; the oracle is the
+  same pass with the bound patched to never skip, and the output graphs
+  must be byte-identical.
 
 The random AIGs come from the fuzz families of :mod:`repro.circuits.fuzz`,
 seeded from ``--fuzz-seed`` like the differential fuzz suite.
@@ -22,9 +26,13 @@ import numpy as np
 import pytest
 
 from repro.aig.cuts import Cut, cut_cone_vars, enumerate_cuts
+from repro.aig.flat import encode_aig
 from repro.aig.graph import AIG
+from repro.circuits import make_multiplier
 from repro.circuits.fuzz import FUZZ_KINDS, FuzzSpec
+from repro.synth import refactor as refactor_module
 from repro.synth import resub as resub_module
+from repro.synth import rewrite as rewrite_module
 from repro.synth.resub import ResubMatch, _verify_and, _verify_equal, resub, resub_z
 from repro.synth.rewrite_framework import mffc_size
 
@@ -98,6 +106,16 @@ def find_resub_exhaustive(aig, root, cut, divisor_vars, sig_int, sig_mask,
     return None
 
 
+#: The passes that skip cuts by the gain bound, with the module whose
+#: ``gain_may_exceed`` they call.
+BOUNDED_PASSES = [
+    pytest.param(rewrite_module, rewrite_module.rewrite, id="rewrite"),
+    pytest.param(rewrite_module, rewrite_module.rewrite_z, id="rewrite-z"),
+    pytest.param(refactor_module, refactor_module.refactor, id="refactor"),
+    pytest.param(refactor_module, refactor_module.refactor_z, id="refactor-z"),
+]
+
+
 @pytest.mark.parametrize("index", range(NUM_CASES))
 class TestKernelOracles:
     def test_mffc_size_matches_cone_sweep(self, fuzz_seed, index):
@@ -126,3 +144,24 @@ class TestKernelOracles:
         with mock.patch.object(resub_module, "_find_resub", side_effect=checked):
             pass_(aig)
         assert matches, blame  # the search ran at least once
+
+    @pytest.mark.parametrize("module, pass_", BOUNDED_PASSES)
+    def test_gain_bound_matches_never_skipping(self, fuzz_seed, index, module, pass_):
+        aig, blame = _case(fuzz_seed, index)
+        bounded = pass_(aig)
+        with mock.patch.object(module, "gain_may_exceed", return_value=True):
+            unbounded = pass_(aig)
+        assert encode_aig(bounded) == encode_aig(unbounded), blame
+
+
+@pytest.mark.parametrize("zero_cost", [False, True], ids=["rewrite", "rewrite-z"])
+def test_gain_bound_skips_most_rewrite_truth_tables(zero_cost):
+    """The bound is what keeps ``rewrite`` cheap: on a 6-bit multiplier it
+    leaves the truth table to at most half of the cuts considered (about
+    a quarter for ``rewrite`` and three eighths for ``rewrite -z``)."""
+    aig = make_multiplier(6)
+    with mock.patch.object(rewrite_module, "cone_mffc", wraps=rewrite_module.cone_mffc) as mffc, \
+            mock.patch.object(rewrite_module, "cone_table", wraps=rewrite_module.cone_table) as table:
+        rewrite_module.rewrite(aig, zero_cost=zero_cost)
+    assert mffc.call_count > 1000
+    assert 2 * table.call_count <= mffc.call_count, (table.call_count, mffc.call_count)

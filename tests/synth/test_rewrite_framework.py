@@ -7,7 +7,6 @@ from repro.aig.graph import AIG, lit_var
 from repro.aig.simulation import functionally_equivalent
 from repro.synth.rewrite_framework import (
     Replacement,
-    copy_cone_builder,
     mffc_size,
     rebuild_with_replacements,
 )
@@ -61,15 +60,6 @@ class TestRebuild:
         rebuilt = rebuild_with_replacements(aig, {lit_var(y): replacement})
         assert functionally_equivalent(aig, rebuilt)
         assert rebuilt.num_ands < aig.num_ands
-
-    def test_copy_cone_builder_reproduces_cone(self, shared_cone):
-        aig, root, ab, pis = shared_cone
-        cut = Cut(tuple(sorted(pis)))
-        builder = copy_cone_builder(aig, root, cut)
-        replacement = Replacement(cut=cut, builder=builder)
-        rebuilt = rebuild_with_replacements(aig, {root: replacement})
-        assert functionally_equivalent(aig, rebuilt)
-        assert rebuilt.num_ands == aig.num_ands
 
     def test_replacement_with_complemented_output_lit(self):
         """Builders may return complemented literals; POs must stay correct."""
