@@ -34,7 +34,6 @@ def ablation_results():
     config = bench_config((CIRCUIT,), ("boils",))
     space = config.problems[0].space()
     aig = get_circuit(CIRCUIT)
-    evaluator = QoREvaluator(aig)
 
     arms = {
         "BOiLS (full)": lambda seed: BOiLS(
@@ -57,8 +56,11 @@ def ablation_results():
     for name, factory in arms.items():
         improvements = []
         for seed in config.seeds:
-            evaluator.reset_history()
-            run = factory(seed).optimise(evaluator, budget=config.budget)
+            # A fresh evaluator per run: a shared memo would make the
+            # sequences earlier arms tested free, so arm order would
+            # change each arm's result.
+            run = factory(seed).optimise(QoREvaluator(aig),
+                                         budget=config.budget)
             improvements.append(run.best_improvement)
         results[name] = (float(np.mean(improvements)), config.budget)
     return results

@@ -243,7 +243,7 @@ class TestHotPathSpeedups:
                      "adam_steps": 2, "fit_every": 2}
         base_kwargs = dict(spec=spec, method_key="boils", seed=0, budget=12,
                            sequence_length=6, overrides=overrides)
-        worker.init_campaign_worker(None)
+        worker.init_campaign_worker()
 
         cell_granular_payload = build_cell_payload(index=0, **base_kwargs)
 

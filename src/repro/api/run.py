@@ -49,6 +49,7 @@ from repro.api.problem import Problem
 from repro.api.store import CampaignStore, RunRecord
 from repro.bo.base import OptimisationResult
 from repro.engine import faults, worker
+from repro.engine.cache import PersistentQoRCache
 from repro.engine.pool import WarmPool, resolve_jobs
 from repro.engine.worker import build_cell_payload
 from repro.engine.faults import (
@@ -68,6 +69,7 @@ def _cell_payload(
     cell: CampaignCell,
     campaign: Campaign,
     store: Optional[CampaignStore] = None,
+    cache_dir: Optional[str] = None,
     checkpoint_every: int = 0,
     attempt: int = 0,
     fault_plan: Optional[str] = None,
@@ -86,6 +88,7 @@ def _cell_payload(
         overrides=campaign.overrides_for(cell.method),
         cell_id=cell.cell_id,
         store_root=str(store.root) if store is not None else None,
+        cache_dir=cache_dir,
         checkpoint_every=checkpoint_every if store is not None else 0,
         wall_clock_budget=campaign.wall_clock_budget,
         early_stop_improvement=campaign.early_stop_improvement,
@@ -171,7 +174,8 @@ def run_campaign(
         Worker processes for pending cells (1 = serial, 0 = all CPUs).
         Results are independent of ``jobs``.
     cache_dir:
-        Optional persistent QoR cache shared across cells and runs.
+        Optional persistent QoR cache shared across cells and runs; each
+        cell opens its own connection to it and closes it when done.
     progress:
         Callback receiving one human-readable line per cell.
     on_event:
@@ -197,6 +201,10 @@ def run_campaign(
         never depend on wall-clock sleeps.
     """
     campaign = campaign.validate().resolved()
+    if cache_dir is not None:
+        # Cells open their own connections; a path that cannot hold the
+        # cache is a campaign configuration error, raised once up front.
+        PersistentQoRCache(cache_dir).close()
     campaign_store: Optional[CampaignStore] = None
     if store is not None:
         campaign_store = store if isinstance(store, CampaignStore) else CampaignStore(store)
@@ -283,12 +291,13 @@ def run_campaign(
     jobs = resolve_jobs(jobs)
 
     def _payload_for(cell: CampaignCell) -> Dict[str, object]:
-        return _cell_payload(cell, campaign, campaign_store, checkpoint_every,
+        return _cell_payload(cell, campaign, campaign_store, cache_dir,
+                             checkpoint_every,
                              attempt=attempts.get(cell.cell_id, 0),
                              fault_plan=plan_json)
 
     if jobs <= 1 or len(pending) <= 1:
-        worker.init_campaign_worker(cache_dir)
+        worker.init_campaign_worker()
         sink = _guard_sink(on_event)
         queue: deque = deque(pending)
         while queue:
@@ -318,7 +327,7 @@ def run_campaign(
             event_queue = manager.Queue()
         try:
             _run_parallel(
-                pending, jobs, cache_dir, event_queue,
+                pending, jobs, event_queue,
                 on_event, campaign, policy,
                 _payload_for, _finish, _finish_failure, _handle_retryable,
             )
@@ -335,7 +344,6 @@ def run_campaign(
 def _run_parallel(
     pending: List[CampaignCell],
     jobs: int,
-    cache_dir: Optional[str],
     event_queue: Any,
     on_event: Optional[EventCallback],
     campaign: Campaign,
@@ -356,13 +364,13 @@ def _run_parallel(
     """
     queue: deque = deque(pending)
     in_flight: Dict[Future, Tuple[CampaignCell, float]] = {}
-    # One warm pool for the whole campaign: workers keep their evaluator
-    # caches and persistent-cache connection across cells; crash
-    # recovery rebuilds only the workers.
+    # One warm pool for the whole campaign: workers start once and keep
+    # the synthesis memo across cells; each cell builds its own evaluator
+    # and cache connection.  Crash recovery rebuilds only the workers.
     warm = WarmPool(
         max_workers=min(jobs, max(1, len(pending))),
         initializer=worker.init_campaign_worker,
-        initargs=(cache_dir, event_queue, True),
+        initargs=(event_queue, True),
     )
     crash_rebuilds = 0
     tick = 0.1 if (event_queue is not None

@@ -12,7 +12,8 @@ The budget loop itself lives in exactly one place, the generic
 :func:`drive` driver: it asks, scores every batch in-process through
 :meth:`QoREvaluator.evaluate_many`, tells, and repeats until the
 evaluation budget is exhausted, the optimiser has nothing left to
-propose, a callback stops the run early or a wall-clock budget expires.
+propose, a ``stop_when`` predicate ends the run early or a wall-clock
+budget expires.
 
 :meth:`SequenceOptimiser.optimise` is a convenience wrapper over
 :func:`drive`: it calls the :meth:`SequenceOptimiser.prepare` hook,
@@ -79,7 +80,7 @@ class OptimisationResult:
 
 @dataclass(frozen=True)
 class DriveProgress:
-    """Snapshot handed to :func:`drive` callbacks after each round.
+    """Snapshot handed to :func:`drive`'s ``stop_when`` after each round.
 
     Attributes
     ----------
@@ -103,8 +104,6 @@ class DriveProgress:
     best: Optional[SequenceEvaluation]
 
 
-#: Per-round progress callback; return value ignored.
-DriveCallback = Callable[[DriveProgress], None]
 #: Early-stop predicate; return ``True`` to end the run after this round.
 StopCondition = Callable[[DriveProgress], bool]
 
@@ -252,7 +251,6 @@ def drive(
     evaluator: QoREvaluator,
     budget: int,
     *,
-    on_round: Optional[DriveCallback] = None,
     stop_when: Optional[StopCondition] = None,
     max_seconds: Optional[float] = None,
     on_event: Optional[EventCallback] = None,
@@ -291,9 +289,10 @@ def drive(
     interrupted segment left off, and the budget check runs against the
     restored evaluator's counters before any new round starts.
 
-    Callbacks observe; they cannot alter proposals or records.  A
-    ``stop_when``/``max_seconds`` stop is checked *after* observe, so the
-    optimiser state stays consistent with the evaluator history.
+    Neither ``on_event`` nor ``stop_when`` can alter proposals or
+    records.  A ``stop_when``/``max_seconds`` stop is checked *after*
+    observe, so the optimiser state stays consistent with the evaluator
+    history.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -305,8 +304,7 @@ def drive(
             on_event(event)
 
     stop_reason: Optional[str] = None
-    observing = (on_round is not None or stop_when is not None
-                 or on_event is not None)
+    observing = stop_when is not None or on_event is not None
     if rounds > 0 and (stop_when is not None or max_seconds is not None):
         # Resumed run: re-apply the stop conditions to the restored
         # state before executing anything.  The interrupted segment
@@ -368,8 +366,6 @@ def drive(
                 elapsed_seconds=elapsed,
                 best=best,
             )
-            if on_round is not None:
-                on_round(progress)
             if stop_when is not None and stop_when(progress):
                 stop_reason = "stop_condition"
                 break
@@ -426,7 +422,6 @@ class SequenceOptimiser(ABC):
         evaluator: QoREvaluator,
         budget: int,
         *,
-        on_round: Optional[DriveCallback] = None,
         stop_when: Optional[StopCondition] = None,
         max_seconds: Optional[float] = None,
         on_event: Optional[EventCallback] = None,
@@ -438,8 +433,8 @@ class SequenceOptimiser(ABC):
         driver.
         """
         self.prepare(evaluator, budget)
-        drive(self, evaluator, budget, on_round=on_round,
-              stop_when=stop_when, max_seconds=max_seconds, on_event=on_event)
+        drive(self, evaluator, budget, stop_when=stop_when,
+              max_seconds=max_seconds, on_event=on_event)
         return self._build_result(evaluator, evaluator.aig.name,
                                   metadata=self.run_metadata())
 

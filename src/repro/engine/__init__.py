@@ -8,10 +8,11 @@ study and :func:`repro.api.run_problem` call.  Its pieces:
   process can rebuild the QoR black box.  AIGs themselves never cross a
   process boundary.
 * :mod:`repro.engine.worker` — the one cell runner
-  (``run_campaign_cell``) and its per-process evaluator registry.
+  (``run_campaign_cell``), which builds a fresh evaluator and opens its
+  own cache connection for every cell.
   :func:`repro.api.run_campaign` drives it in-process or across a warm
-  pool with deterministic per-cell seeding and fresh per-cell evaluator
-  state, so ``--jobs N`` reproduces ``--jobs 1`` exactly.
+  pool with deterministic per-cell seeding, so ``--jobs N`` reproduces
+  ``--jobs 1`` exactly.
 * :mod:`repro.engine.pool` — :class:`WarmPool`, the one sanctioned
   ``ProcessPoolExecutor`` owner, persistent across cells and
   rebuilt after a crash; ``jobs`` everywhere means cells in flight.

@@ -4,8 +4,8 @@ The package has one parallel path: campaign cells in flight
 (:func:`repro.api.run.run_campaign`, which every grid, study and
 :func:`repro.api.run_problem` goes through).  It owns one ``WarmPool``:
 a single executor kept across cells instead of a fresh
-``ProcessPoolExecutor`` per call site, so workers keep their evaluators
-and cache connection for a whole campaign.  ``WarmPool`` exposes the two
+``ProcessPoolExecutor`` per call site, so workers start once and keep
+their synthesis memo for a whole campaign.  ``WarmPool`` exposes the two
 operations supervision needs: lazy (re)build and recycle after a crash
 or deadline kill.  :func:`resolve_jobs` normalises the
 ``jobs`` value that sizes it.

@@ -4,9 +4,8 @@ Worker processes never receive an AIG over the pipe — circuits are cheap
 to regenerate but expensive to serialise, and the structural-hashing
 tables inside :class:`repro.aig.graph.AIG` make pickles large.  Instead a
 tiny :class:`EvaluatorSpec` (circuit name + width + LUT size + reference
-flow) crosses the process boundary and each worker rebuilds its own
-circuit, mapper and :class:`repro.qor.QoREvaluator` once, on the first
-cell that needs it.
+flow) crosses the process boundary and every campaign cell rebuilds its
+own circuit, mapper and :class:`repro.qor.QoREvaluator` from it.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class EvaluatorSpec:
         Canonical string spec of the synthesis backend (see
         :func:`repro.qor.backends.canonical_backend_spec`) — a bare key
         like ``"native"`` or sorted-key JSON for parameterised backends.
-        Part of the evaluator's identity: two specs differing only in
-        backend build evaluators that may measure different numbers.
+        Two specs differing only in backend build evaluators that may
+        measure different numbers.
     circuit_file / circuit_hash:
         For file-backed circuits (``file:<path>`` names): the resolved
         absolute path and the SHA-256 content hash of the file at spec
@@ -80,24 +79,6 @@ class EvaluatorSpec:
     circuit_hash: Optional[str] = None
     eval_timeout: Optional[float] = None
     fault_plan: Optional[str] = None
-
-    def identity_key(self) -> Tuple[object, ...]:
-        """Key identifying the evaluator this spec builds.
-
-        ``circuit_file`` is left out: the content hash, not the path,
-        says which circuit a file-backed spec builds.
-        """
-        return (
-            self.circuit,
-            self.width,
-            self.lut_size,
-            self.reference_sequence,
-            self.objective,
-            self.backend,
-            self.circuit_hash,
-            self.eval_timeout,
-            self.fault_plan,
-        )
 
     @classmethod
     def for_circuit(

@@ -1,12 +1,14 @@
 """Worker-process entry points for campaign cells.
 
-Pool workers hold per-process state in module globals: a small registry
-of evaluators, each rebuilt from a picklable
-:class:`repro.engine.spec.EvaluatorSpec` (AIGs never cross the pipe) and
-keyed by circuit so the expensive ``resyn2`` reference mapping is
-computed once per worker rather than once per cell, plus the persistent
-cache connection.  Everything in this module is importable at top level
-— a requirement for ``multiprocessing`` pickling of the initialiser and
+Every cell builds its own :class:`repro.qor.QoREvaluator` from a
+picklable :class:`repro.engine.spec.EvaluatorSpec` (AIGs never cross the
+pipe) and, when its payload names a ``cache_dir``, opens its own
+:class:`~repro.engine.cache.PersistentQoRCache` connection and closes it
+when the cell ends.  Nothing but the event queue and the pool-worker
+flag outlives a cell: the ``resyn2`` reference flow a rebuilt evaluator
+measures is answered by the native backend's process-wide synthesis
+memo.  Everything in this module is importable at top level — a
+requirement for ``multiprocessing`` pickling of the initialiser and
 task functions.
 
 :func:`run_campaign_cell` is the one cell runner behind every
@@ -26,7 +28,6 @@ bit-identically.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.engine import faults
@@ -48,148 +49,26 @@ EventSink = Callable[[str, Dict[str, object]], None]
 #: manifest as a hard ``os._exit`` (→ ``BrokenProcessPool`` upstream)
 #: instead of a raised exception.
 _IN_POOL = False
+#: Pool workers' manager-queue proxy for round events (``None`` when the
+#: parent asked for none, and in the serial path).
+_EVENT_QUEUE: Optional[object] = None
 
 
 def worker_diagnostics() -> Dict[str, object]:
-    """Introspection task for tests and the CLI: one worker's warm state."""
+    """Introspection task for tests and the CLI: one worker's state."""
     return {
         "pid": os.getpid(),
         "in_pool": _IN_POOL,
-        "cell_evaluators": len(_CELL_EVALUATORS),
-        "cell_evictions": _CELL_EVALUATORS.evictions,
         # Diagnostic only: OpenBLAS threads by library (see repro.gp.blas).
         "blas_threads": blas_threads(),
         **synth_memo_stats(),
     }
 
 
-# ----------------------------------------------------------------------
-# Campaign-cell workers: per-process evaluators + persistent cache
-# ----------------------------------------------------------------------
-_UNSET = object()  # distinct from None, which is a valid cache_dir
-_CELL_CACHE_DIR: object = _UNSET
-_CELL_CACHE: Optional[PersistentQoRCache] = None
-
-#: Default bound for the per-worker evaluator cache.  Warm pool workers
-#: now live for a whole sweep, so an unbounded circuit-keyed cache would
-#: grow with corpus size; eight evaluators comfortably covers a round's
-#: working set while capping memory.
-DEFAULT_EVALUATOR_CACHE_LIMIT = 8
-
-
-class _EvaluatorLRU:
-    """Bounded evaluator cache keyed by ``EvaluatorSpec.identity_key()``.
-
-    Eviction only drops the worker's warm copy — a re-built evaluator is
-    bit-identical (deterministic construction) and keeps sharing the
-    process-wide persistent cache handle, so the bound can never change
-    results, only re-pay construction cost.
-    """
-
-    def __init__(self, limit: int = DEFAULT_EVALUATOR_CACHE_LIMIT) -> None:
-        self.limit = int(limit)
-        self._items: "OrderedDict[Tuple[object, ...], QoREvaluator]" = OrderedDict()
-        self.evictions = 0
-
-    def get(self, key: Tuple[object, ...]) -> Optional[QoREvaluator]:
-        evaluator = self._items.get(key)
-        if evaluator is not None:
-            self._items.move_to_end(key)
-        return evaluator
-
-    def put(self, key: Tuple[object, ...], evaluator: QoREvaluator) -> None:
-        self._items[key] = evaluator
-        self._items.move_to_end(key)
-        while len(self._items) > self.limit > 0:
-            # Evicted evaluators are just dropped, never closed: the
-            # persistent cache handle they reference is process-wide
-            # (_CELL_CACHE) and stays open for their survivors.
-            self._items.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._items.clear()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-_CELL_EVALUATORS = _EvaluatorLRU()
-_CELL_PID: Optional[int] = None
-_ABANDONED_CACHES: list = []  # fork-inherited handles we must never close
-
-
-def _discard_state_from_other_process() -> None:
-    """Drop cell state inherited across ``fork``.
-
-    The serial campaign path mutates these globals in the parent
-    process, so forked pool workers start with the parent's open SQLite
-    handle and evaluators.  SQLite connections must not be used (not
-    even closed) from another process — abandon them and start clean.
-    """
-    global _CELL_CACHE_DIR, _CELL_CACHE, _CELL_PID
-    if _CELL_PID != os.getpid():
-        if _CELL_CACHE is not None:
-            # Keep the inherited handle referenced forever so the child
-            # never finalises (= closes) a connection it does not own.
-            _ABANDONED_CACHES.append(_CELL_CACHE)
-        _CELL_CACHE = None
-        _CELL_CACHE_DIR = _UNSET
-        _CELL_EVALUATORS.clear()
-        _CELL_PID = os.getpid()
-
-
-def _cell_evaluator(spec: EvaluatorSpec) -> QoREvaluator:
-    """Per-process evaluator for a circuit, built on first use.
-
-    Cached in a bounded LRU keyed by the spec's identity — an eviction
-    re-pays construction on next use but cannot change results.
-    """
-    key = spec.identity_key()
-    evaluator = _CELL_EVALUATORS.get(key)
-    if evaluator is None:
-        evaluator = spec.build_evaluator(persistent_cache=_CELL_CACHE)
-        _CELL_EVALUATORS.put(key, evaluator)
-    return evaluator
-
-
-def _prepare_cell(
-    payload: Dict[str, object],
-) -> Tuple[EvaluatorSpec, QoREvaluator, "SequenceOptimiser", int, int]:
-    """Shared per-cell setup: ``(spec, evaluator, optimiser, budget, index)``.
-
-    Each cell starts from a clean per-run state (history, counters and
-    in-memory memoisation cleared) so its result does not depend on which
-    cells ran before it in the same process — the property that makes
-    ``jobs=1`` and ``jobs=N`` grids identical.
-    """
-    # Imported here: the runner imports this package for its public API,
-    # and a module-level import back into the runner would be circular.
-    from repro.experiments.runner import make_optimiser
-
-    spec = EvaluatorSpec.from_payload(payload["spec"])  # type: ignore[arg-type]
-    evaluator = _cell_evaluator(spec)
-    evaluator.reset_history(clear_cache=True)
-    optimiser = make_optimiser(
-        str(payload["method_key"]),
-        space=None if payload["sequence_length"] is None else _make_space(payload),
-        seed=int(payload["seed"]),  # type: ignore[arg-type]
-        **dict(payload.get("overrides") or {}),  # type: ignore[arg-type]
-    )
-    return (spec, evaluator, optimiser,
-            int(payload["budget"]), int(payload["index"]))  # type: ignore[arg-type]
-
-
 def _make_space(payload: Dict[str, object]) -> "SequenceSpace":
     from repro.bo.space import SequenceSpace
 
     return SequenceSpace(sequence_length=int(payload["sequence_length"]))  # type: ignore[arg-type]
-
-
-# ----------------------------------------------------------------------
-# Campaign-cell workers: round-granular streaming + checkpoint resume
-# ----------------------------------------------------------------------
-_EVENT_QUEUE: Optional[object] = None
 
 
 def build_cell_payload(
@@ -203,6 +82,7 @@ def build_cell_payload(
     overrides: Optional[Dict[str, object]] = None,
     cell_id: Optional[str] = None,
     store_root: Optional[str] = None,
+    cache_dir: Optional[str] = None,
     checkpoint_every: int = 0,
     wall_clock_budget: Optional[float] = None,
     early_stop_improvement: Optional[float] = None,
@@ -210,9 +90,10 @@ def build_cell_payload(
 ) -> Dict[str, object]:
     """The picklable payload :func:`run_campaign_cell` consumes.
 
-    The optional keys (``cell_id``, ``store_root``, ``checkpoint_every``,
-    ``wall_clock_budget``, ``early_stop_improvement``, ``attempt``) are
-    included only when set, so a store-less payload stays minimal.
+    The optional keys (``cell_id``, ``store_root``, ``cache_dir``,
+    ``checkpoint_every``, ``wall_clock_budget``,
+    ``early_stop_improvement``, ``attempt``) are included only when set,
+    so a store-less payload stays minimal.
     """
     payload: Dict[str, object] = {
         "index": int(index),
@@ -227,6 +108,8 @@ def build_cell_payload(
         payload["cell_id"] = str(cell_id)
     if store_root is not None:
         payload["store_root"] = str(store_root)
+    if cache_dir is not None:
+        payload["cache_dir"] = str(cache_dir)
     if checkpoint_every:
         payload["checkpoint_every"] = int(checkpoint_every)
     if wall_clock_budget is not None:
@@ -238,10 +121,8 @@ def build_cell_payload(
     return payload
 
 
-def init_campaign_worker(cache_dir: Optional[str],
-                         event_queue: Optional[object] = None,
-                         in_pool: bool = False,
-                         cache_limit: Optional[int] = None) -> None:
+def init_campaign_worker(event_queue: Optional[object] = None,
+                         in_pool: bool = False) -> None:
     """Pool initialiser for campaign cells; also used by the serial path.
 
     ``event_queue`` is a ``multiprocessing.Manager`` queue proxy (or
@@ -249,24 +130,8 @@ def init_campaign_worker(cache_dir: Optional[str],
     running in this worker streams its round events into it as
     ``(cell_id, event_dict)`` tuples.  ``in_pool`` marks this process as
     a pool worker (injected crashes become hard process exits).
-    ``cache_limit`` overrides the per-worker evaluator LRU bound
-    (``None`` keeps the current bound) — tests use ``1`` to exercise
-    eviction, long corpus sweeps may raise it.
     """
-    global _CELL_CACHE_DIR, _CELL_CACHE, _EVENT_QUEUE, _IN_POOL
-    _discard_state_from_other_process()
-    if cache_limit is not None:
-        _CELL_EVALUATORS.limit = int(cache_limit)
-    if cache_dir != _CELL_CACHE_DIR:
-        if _CELL_CACHE is not None:
-            _CELL_CACHE.close()
-            _CELL_CACHE = None
-        # Cached evaluators hold a reference to the previous cache handle
-        # (possibly none), so they cannot be reused across cache dirs.
-        _CELL_EVALUATORS.clear()
-    _CELL_CACHE_DIR = cache_dir
-    if cache_dir is not None and _CELL_CACHE is None:
-        _CELL_CACHE = PersistentQoRCache(cache_dir)
+    global _EVENT_QUEUE, _IN_POOL
     _EVENT_QUEUE = event_queue
     _IN_POOL = bool(in_pool)
 
@@ -287,6 +152,14 @@ def run_campaign_cell(
     event_sink: Optional[EventSink] = None,
 ) -> Tuple[int, object]:
     """Run (or resume) one (method, circuit, seed) cell; ``(index, result)``.
+
+    The cell builds a fresh evaluator from the payload's spec, so its
+    result does not depend on which cells ran before it in the same
+    process — the property that makes ``jobs=1`` and ``jobs=N`` grids
+    identical.  With a ``cache_dir`` in the payload it opens the
+    persistent QoR cache there, commits its fresh rows in one
+    transaction when the drive loop ends, and closes the cache however
+    the cell ends.
 
     Without ``store_root`` or an event sink the cell simply drives its
     optimiser to the budget.  The round-granular machinery on top:
@@ -309,13 +182,16 @@ def run_campaign_cell(
     * the campaign's ``wall_clock_budget`` / ``early_stop_improvement``
       knobs thread into the drive loop as ``max_seconds`` / ``stop_when``.
     """
-    # Imported lazily: repro.api imports this package, so a module-level
-    # import back into repro.api would be circular.
+    # Imported lazily: repro.api and the runner import this package, so
+    # a module-level import back into them would be circular.
     from repro.api.store import CampaignStore
+    from repro.experiments.runner import make_optimiser
 
-    spec, evaluator, optimiser, budget, index = _prepare_cell(payload)
+    spec = EvaluatorSpec.from_payload(payload["spec"])  # type: ignore[arg-type]
+    index = int(payload["index"])  # type: ignore[arg-type]
     cell_id = payload.get("cell_id")
     store_root = payload.get("store_root")
+    cache_dir = payload.get("cache_dir")
     checkpoint_every = int(payload.get("checkpoint_every") or 0)  # type: ignore[arg-type]
     attempt = int(payload.get("attempt") or 0)  # type: ignore[arg-type]
     store = (CampaignStore(str(store_root))
@@ -324,23 +200,36 @@ def run_campaign_cell(
     if event_sink is None:
         event_sink = _queue_event_sink()
 
-    # Fault-injection context: scheduled events are keyed by this cell's
-    # (cell_id, attempt); the cache hook makes the shared cell cache see
-    # scheduled transient errors for the duration of this cell only.
-    inject = spec.fault_plan is not None or spec.eval_timeout is not None
-    if inject:
-        faults.activate(cell_id, attempt, hard_crash=_IN_POOL)
-        if _CELL_CACHE is not None:
-            _CELL_CACHE.fault_hook = faults.build_cache_hook(spec.fault_plan)
+    # The cache connects before the fault context opens, so the cell's
+    # first cache operation keeps fault ordinal 0.
+    cache = PersistentQoRCache(str(cache_dir)) if cache_dir is not None else None
     try:
-        return _run_campaign_cell_body(
-            payload, spec, evaluator, optimiser, budget, index,
-            cell_id, store, checkpoint_every, event_sink)
-    finally:
+        evaluator = spec.build_evaluator(persistent_cache=cache)
+        optimiser = make_optimiser(
+            str(payload["method_key"]),
+            space=None if payload["sequence_length"] is None else _make_space(payload),
+            seed=int(payload["seed"]),  # type: ignore[arg-type]
+            **dict(payload.get("overrides") or {}),  # type: ignore[arg-type]
+        )
+        # Fault-injection context: scheduled events are keyed by this
+        # cell's (cell_id, attempt); the hook makes the cell's cache see
+        # scheduled transient errors.
+        inject = spec.fault_plan is not None or spec.eval_timeout is not None
         if inject:
-            faults.deactivate()
-            if _CELL_CACHE is not None:
-                _CELL_CACHE.fault_hook = None
+            faults.activate(cell_id, attempt, hard_crash=_IN_POOL)
+            if cache is not None:
+                cache.fault_hook = faults.build_cache_hook(spec.fault_plan)
+        try:
+            return _run_campaign_cell_body(
+                payload, spec, evaluator, optimiser,
+                int(payload["budget"]),  # type: ignore[arg-type]
+                index, cell_id, store, checkpoint_every, event_sink)
+        finally:
+            if inject:
+                faults.deactivate()
+    finally:
+        if cache is not None:
+            cache.close()
 
 
 def _run_campaign_cell_body(

@@ -70,13 +70,13 @@ def run_experiment(
 
     The grid runs through :func:`repro.api.run_campaign` with no store:
     ``jobs > 1`` spreads the cells over a warm process pool, ``jobs = 1``
-    runs the same cell code in-process.  Every cell starts from a fresh
-    per-run evaluator state (the ``resyn2`` reference mapping is still
-    shared per circuit within a process), which makes the result grid
-    independent of ``jobs`` and of cell ordering.  Pass ``cache_dir`` to share a
-    persistent QoR cache across cells, processes and repeated runs —
-    warm entries skip the synthesis + mapping computation without
-    changing any result.
+    runs the same cell code in-process.  Every cell builds a fresh
+    evaluator (its ``resyn2`` reference flow is answered by the
+    process-wide synthesis memo after the first cell on a circuit),
+    which makes the result grid independent of ``jobs`` and of cell
+    ordering.  Pass ``cache_dir`` to share a persistent QoR cache
+    across cells, processes and repeated runs — warm entries skip the
+    synthesis + mapping computation without changing any result.
 
     Results come back problem-major, then method, then seed.  A cell
     that fails or is quarantined raises :class:`RuntimeError` naming the

@@ -722,8 +722,8 @@ class WarmPoolRule(LintRule):
     code = "RPL008"
     name = "warm-pool-only"
     rationale = ("Per-call ProcessPoolExecutor construction in the "
-                 "engine/api hot paths re-pays process spin-up, spec "
-                 "pickling and circuit rebuild on every call — the "
+                 "engine/api hot paths re-pays process spin-up and a "
+                 "cold synthesis memo on every call — the "
                  "parallelism-inversion bug class.  Pools must come from "
                  "the engine-owned repro.engine.pool.WarmPool accessor "
                  "(the allowlisted construction site).")

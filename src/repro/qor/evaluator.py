@@ -145,7 +145,6 @@ class QoREvaluator:
         # buffered (sequence, area, delay) rows flushed in one put_many.
         self._defer_persistent = False
         self._pending_writes: List[Tuple[Tuple[str, ...], int, int]] = []
-        self._pending_index: Dict[Tuple[str, ...], Tuple[int, int]] = {}
         self.history: List[SequenceEvaluation] = []
 
         # Reference area/delay (denominators of Equation 1).
@@ -248,13 +247,11 @@ class QoREvaluator:
             # Defensive: deferral is refused without a cache, so the
             # buffer is empty — but never report unwritten rows.
             self._pending_writes = []
-            self._pending_index = {}
             return 0
         count = len(self._pending_writes)
         if count:
             self._persistent.put_many(self.cache_key, self._pending_writes)
         self._pending_writes = []
-        self._pending_index = {}
         return count
 
     @property
@@ -308,11 +305,6 @@ class QoREvaluator:
     def _persistent_lookup(self, names: Tuple[str, ...]) -> Optional[SequenceEvaluation]:
         if self._persistent is None:
             return None
-        pending = self._pending_index.get(names)
-        if pending is not None:
-            # Computed earlier in this run but not yet committed; serve it
-            # as a persistent hit so accounting matches the eager path.
-            return self._make_record(names, pending[0], pending[1])
         hit = self._persistent.get(self.cache_key, names)
         if hit is None:
             return None
@@ -336,7 +328,6 @@ class QoREvaluator:
         if self._persistent is not None and not from_persistent:
             if self._defer_persistent:
                 self._pending_writes.append((names, record.area, record.delay))
-                self._pending_index[names] = (record.area, record.delay)
             else:
                 self._persistent.put(self.cache_key, names, record.area, record.delay)
 
@@ -406,21 +397,3 @@ class QoREvaluator:
         self._num_persistent_hits = int(num_persistent_hits)
         for record in records:
             self._cache[record.sequence] = record
-
-    def reset_history(self, clear_cache: bool = False) -> None:
-        """Clear the evaluation history and counters.
-
-        The in-memory memoisation cache is kept by default (so repeated
-        runs on the same evaluator stay cheap); pass ``clear_cache=True``
-        to start the next run from a clean slate — required when run
-        results must be independent of what previous runs evaluated (the
-        parallel grid runner does this so that ``--jobs 1`` and
-        ``--jobs N`` produce identical tables).  The persistent on-disk
-        cache is never cleared by this method.
-        """
-        self.history = []
-        self._num_evaluations = 0
-        self._num_computed = 0
-        self._num_persistent_hits = 0
-        if clear_cache:
-            self._cache = {}

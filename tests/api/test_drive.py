@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import GeneticAlgorithm, GreedySearch, RandomSearch
 from repro.bo import BOiLS
-from repro.bo.base import DriveProgress, SequenceOptimiser, drive
+from repro.bo.base import RoundCompleted, SequenceOptimiser, drive
 from repro.bo.space import SequenceSpace
 from repro.circuits import get_circuit
 from repro.qor import QoREvaluator
@@ -46,12 +46,12 @@ class TestDriveLoop:
         max_needed = space.sequence_length * space.num_operations
         assert result.num_evaluations <= max_needed
 
-    def test_on_round_progress(self, evaluator, space):
-        seen = []
+    def test_round_completed_events_track_progress(self, evaluator, space):
+        events = []
         optimiser = RandomSearch(space=space, seed=0)
-        optimiser.optimise(evaluator, budget=5, on_round=seen.append)
+        optimiser.optimise(evaluator, budget=5, on_event=events.append)
+        seen = [event for event in events if isinstance(event, RoundCompleted)]
         assert seen
-        assert all(isinstance(item, DriveProgress) for item in seen)
         assert seen[-1].num_evaluations == 5
         assert seen[-1].budget == 5
         assert seen[-1].best is not None

@@ -59,12 +59,6 @@ class TestSpec:
         assert (EvaluatorSpec.from_payload({"circuit": "adder", "width": 4})
                 == EvaluatorSpec.for_circuit("adder", width=4))
 
-    def test_identity_key_ignores_the_circuit_path(self, spec):
-        moved = dataclasses.replace(spec, circuit_file="/elsewhere/adder.aag")
-        assert moved.identity_key() == spec.identity_key()
-        assert (dataclasses.replace(spec, lut_size=4).identity_key()
-                != spec.identity_key())
-
     def test_independent_builds_measure_the_same(self, spec):
         first, second = spec.build_evaluator(), spec.build_evaluator()
         assert ((first.reference_area, first.reference_delay)

@@ -2,17 +2,15 @@
 
 Covers :mod:`repro.engine.pool` (lazy build, reuse, recycle and
 rebuild, idempotent close), the synthesis-memo counters that campaign
-workers report through ``worker_diagnostics``, and the bounded
-worker-side evaluator LRU whose eviction can never change results.
+workers report through ``worker_diagnostics``, and cells that share a
+pool worker without sharing results.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.aig.flat import encode_aig
-from repro.bo.space import SequenceSpace
 from repro.engine import EvaluatorSpec
 from repro.engine import worker
 from repro.engine.pool import WarmPool
@@ -34,11 +32,6 @@ def _remembered_initargs():
 @pytest.fixture(scope="module")
 def spec():
     return EvaluatorSpec.for_circuit("adder", width=4)
-
-
-@pytest.fixture(scope="module")
-def space():
-    return SequenceSpace(sequence_length=3)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +119,13 @@ class TestSynthMemoCounters:
             index=seed, spec=spec, method_key="rs", seed=seed, budget=4,
             sequence_length=3) for seed in (0, 1)]
         with WarmPool(max_workers=1, initializer=worker.init_campaign_worker,
-                      initargs=(None, None, True)) as pool:
+                      initargs=(None, True)) as pool:
             executor = pool.executor()
             for payload in payloads:
                 executor.submit(worker.run_campaign_cell, payload).result()
             diag = executor.submit(worker.worker_diagnostics).result()
         assert diag["in_pool"]
-        assert diag["cell_evaluators"] == 1
+        assert set(diag) == {"pid", "in_pool", "blas_threads", *_MEMO_COUNTERS}
         assert all(isinstance(diag[name], int) for name in _MEMO_COUNTERS)
         assert diag["synth_memo_misses"] > 0
         assert 0 < diag["synth_memo_bytes"] <= native.SYNTH_MEMO_BYTES
@@ -154,43 +147,28 @@ class TestSynthMemoCounters:
 
 
 # ---------------------------------------------------------------------------
-# Bounded worker-side evaluator cache
+# Cells sharing a pool worker
 # ---------------------------------------------------------------------------
-class TestEvaluatorLRU:
-    def test_eviction_keeps_results_bit_identical(self, space):
-        specs = [EvaluatorSpec.for_circuit("adder", width=width)
-                 for width in (3, 4, 5)]
-        names = tuple(space.to_names(
-            space.sample(1, np.random.default_rng(3))[0]))
-        expected = [s.build_evaluator().compute(names)
-                    for s in specs]
-        worker.init_campaign_worker(None, cache_limit=1)
-        try:
-            # Two round-robin passes at limit 1: every lookup after the
-            # first evicts the previous circuit's evaluator.
-            first = [worker._cell_evaluator(s).compute(names) for s in specs]
-            second = [worker._cell_evaluator(s).compute(names) for s in specs]
-            assert first == expected
-            assert second == expected
-            assert len(worker._CELL_EVALUATORS) == 1
-            assert worker._CELL_EVALUATORS.evictions >= 4
-        finally:
-            worker._CELL_EVALUATORS.clear()
-            worker._CELL_EVALUATORS.limit = worker.DEFAULT_EVALUATOR_CACHE_LIMIT
-            worker._CELL_EVALUATORS.evictions = 0
+def _run_in_one_worker(payloads):
+    with WarmPool(max_workers=1, initializer=worker.init_campaign_worker,
+                  initargs=(None, True)) as pool:
+        executor = pool.executor()
+        return [executor.submit(worker.run_campaign_cell, payload).result()
+                for payload in payloads]
 
-    def test_unbounded_when_under_limit(self, space):
-        lru = worker._EvaluatorLRU(limit=2)
-        lru.put(("a",), "evaluator-a")
-        lru.put(("b",), "evaluator-b")
-        assert lru.get(("a",)) == "evaluator-a"
-        assert len(lru) == 2 and lru.evictions == 0
-        # "a" was just touched, so "b" is the LRU victim.
-        lru.put(("c",), "evaluator-c")
-        assert lru.evictions == 1
-        assert lru.get(("b",)) is None
-        assert lru.get(("a",)) == "evaluator-a"
 
-    def test_default_limit_is_bounded(self):
-        assert worker.DEFAULT_EVALUATOR_CACHE_LIMIT == 8
-        assert worker._CELL_EVALUATORS.limit == 8
+class TestCellsShareNothing:
+    def test_cells_in_one_worker_match_cells_run_alone(self, spec, tmp_path):
+        # The third cell repeats the first one's sequences: leftover
+        # evaluator state would make them free and drop them from its
+        # history.  One shared cache also serves it warm rows.
+        payloads = [worker.build_cell_payload(
+            index=index, spec=spec, method_key="rs", seed=seed, budget=5,
+            sequence_length=3, cache_dir=str(tmp_path / "shared"))
+            for index, seed in enumerate((0, 1, 0))]
+        together = _run_in_one_worker(payloads)
+        alone = [_run_in_one_worker([dict(payload, cache_dir=str(
+            tmp_path / f"alone-{payload['index']}"))])[0]
+            for payload in payloads]
+        assert together == alone
+        assert together[2][1].history == together[0][1].history

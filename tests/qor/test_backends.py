@@ -347,7 +347,7 @@ class TestProblemIntegration:
     def test_spec_identity_includes_backend(self):
         native = EvaluatorSpec.for_circuit("adder", width=4)
         abc = EvaluatorSpec.for_circuit("adder", width=4, backend="abc")
-        assert native.identity_key() != abc.identity_key()
+        assert native != abc
         assert native.backend == DEFAULT_BACKEND_KEY
         assert abc.backend == "abc"
 

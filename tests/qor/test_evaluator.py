@@ -81,16 +81,6 @@ class TestCachingAndHistory:
         assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
         assert len(trajectory) == 4
 
-    def test_reset_history_keeps_cache(self, small_adder):
-        evaluator = QoREvaluator(small_adder)
-        evaluator.evaluate(["balance"])
-        evaluator.reset_history()
-        assert evaluator.num_evaluations == 0
-        assert evaluator.history == []
-        # Cached: re-evaluating does not bump the counter.
-        evaluator.evaluate(["balance"])
-        assert evaluator.num_evaluations == 0
-
     def test_evaluate_many_records_in_submission_order(self, small_adder):
         batch = [["rewrite"], ["balance"], ["rewrite"], ["fraig", "balance"]]
         evaluator = QoREvaluator(small_adder)
@@ -154,17 +144,6 @@ class TestDeferredPersistentWrites:
                                   len(cache))
         assert counters["eager"] == counters["deferred"]
 
-    def test_pending_rows_served_as_persistent_hits(self, small_adder, cache):
-        evaluator = QoREvaluator(small_adder, persistent_cache=cache)
-        evaluator.defer_persistent_writes(True)
-        evaluator.evaluate(["balance"])
-        evaluator.reset_history(clear_cache=True)
-        # The memo is gone and the row is not yet committed; the pending
-        # buffer must serve it with persistent-hit accounting.
-        evaluator.evaluate(["balance"])
-        assert evaluator.num_persistent_hits == 1
-        assert evaluator.num_computed == 0
-
     @pytest.mark.parametrize("defer", [True, False],
                              ids=["deferred", "eager"])
     def test_evaluate_many_matches_evaluate_with_persistent_cache(
@@ -194,10 +173,11 @@ class TestDeferredPersistentWrites:
         runs = {}
         for mode in ("batch", "one_by_one"):
             with RecordingCache(tmp_path / mode) as cache:
-                evaluator = QoREvaluator(small_adder, persistent_cache=cache)
-                evaluator.evaluate(["balance"])  # committed eagerly
-                evaluator.reset_history(clear_cache=True)
+                # An earlier run commits "balance" eagerly.
+                QoREvaluator(small_adder, persistent_cache=cache).evaluate(
+                    ["balance"])
                 cache.written.clear()
+                evaluator = QoREvaluator(small_adder, persistent_cache=cache)
                 evaluator.defer_persistent_writes(defer)
                 evaluator.evaluate(["fraig"])  # memo hit inside the batch
                 if mode == "batch":

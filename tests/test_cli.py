@@ -152,12 +152,15 @@ class TestRoundGranularCli:
         assert "round 1" in err and "/4 evals" in err
 
     def test_table_is_identical_at_jobs_1_and_2(self, capsys, tmp_path):
+        # One cache for both runs: jobs=1 fills it cold, jobs=2 reads it
+        # warm, so the tables also show warm hits change nothing.
         tables = []
         for jobs in ("1", "2"):
             assert main(["run", "--circuits", "adder,sqrt",
                          "--methods", "rs,ga", "--budget", "4", "--seeds", "2",
                          "--sequence-length", "3", "--width", "4",
                          "--no-round-progress", "--jobs", jobs,
+                         "--cache-dir", str(tmp_path / "cache"),
                          "--store", str(tmp_path / f"jobs{jobs}")]) == 0
             tables.append(capsys.readouterr().out)
         assert "Figure 3 (top)" in tables[0]
